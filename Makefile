@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint cover bench-smoke fuzz-smoke stress replica-smoke seal-sweep failover-sweep
+.PHONY: build test race vet lint cover bench-smoke fuzz-smoke stress replica-smoke seal-sweep history-bench failover-sweep
 
 build:
 	$(GO) build ./...
@@ -8,10 +8,11 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-checks the packages touched by the parallel snapshot pipeline plus
-# everything else under internal/ (all are expected to be race-clean).
+# Race-checks every package under internal/ (all are expected to be
+# race-clean), never from the test cache: this is CI's one run of the
+# crash sweeps, the seal/equivalence harness and the replica TCP smoke.
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race -count=1 ./internal/...
 
 vet:
 	$(GO) vet ./...
@@ -26,10 +27,12 @@ vet:
 lint:
 	$(GO) run ./cmd/aionlint -v > aionlint.txt 2>&1; s=$$?; cat aionlint.txt; exit $$s
 
-# Atomic-mode coverage over internal/; the per-package breakdown is the
-# CI-visible artifact.
+# The whole test suite (`make test`) in atomic coverage mode: CI's one
+# plain test run. The per-package breakdown (cover-packages.txt) is the
+# CI-visible artifact; a failing test fails the target.
 cover:
-	$(GO) test -covermode=atomic -coverprofile=coverage.out ./internal/...
+	$(GO) test -covermode=atomic -coverprofile=coverage.out ./... > cover-packages.txt 2>&1; s=$$?; cat cover-packages.txt; exit $$s
+	awk '/coverage:/ {print $$2, $$5}' cover-packages.txt | sort
 	$(GO) tool cover -func=coverage.out | tail -1
 
 # One iteration of the read-path benchmarks: enough to catch regressions in
@@ -42,24 +45,28 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'CommitThroughput' -benchtime 100x ./internal/hostdb/
 	$(GO) run ./cmd/aion-bench -exp write -writeops 50 -committers 1,16 -json BENCH_smoke.json
 
-# Concurrent serving-path stress under the race detector: mixed
-# reader/writer bolt clients against an undersized admission limit, plus the
-# engine-level writer/reader mix and the cancellation suite.
+# Concurrent serving-path stress under the race detector, run twice:
+# mixed reader/writer bolt clients against an undersized admission limit,
+# plus the engine-level writer/reader mix and the cancellation suite. (The
+# replica package's single -race pass, sweeps included, is part of `race`.)
 stress:
 	$(GO) test -race -count=2 -run 'Stress|Concurrent|Cancel|Deadline|Overload|Drain|Panic|Replica' ./internal/bolt/ ./internal/cypher/ ./internal/hostdb/ ./internal/system/
-	$(GO) test -race -count=1 ./internal/replica/
 
 # Replication smoke over real TCP: a primary and two follower servers, one
 # follower's stream killed mid-flight (it must reconnect and re-converge),
-# plus router fallback and dial-failure backoff.
+# plus router fallback and dial-failure backoff. A verbose local subset of
+# `race`; CI does not run it separately.
 replica-smoke:
 	$(GO) test -race -count=1 -run 'TestReplicationOverTCP|TestRouterFallback|TestFollowerReconnectBackoff' -v ./internal/replica/
 
-# A short run of the record-decoder fuzzers (recovery feeds the update
-# decoder torn log tails; chain recovery feeds the delta-header decoder
-# arbitrary .dsnap prefixes): long enough to exercise the mutators, short
-# enough for CI.
+# A short run of the decoder fuzzers: the one length+CRC frame decoder
+# (wal.ScanFrames, which reads WAL, snapshot and delta-chain files alike,
+# fed torn tails and corrupt lengths), the update decoder behind it
+# (recovery feeds it torn log tails) and the delta-header decoder (chain
+# recovery feeds it arbitrary .dsnap prefixes): long enough to exercise the
+# mutators, short enough for CI.
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzScanFrames -fuzztime 15s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeUpdates -fuzztime 30s ./internal/enc/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDelta -fuzztime 15s ./internal/enc/
 
@@ -82,10 +89,14 @@ failover-sweep:
 
 # The partitioned-history gate: the seal crash sweeps and the cross-store
 # equivalence harness (partitioned vs monolithic, byte-identical results)
-# under the race detector, then the history-depth benchmark with its
-# machine-readable artifact, compared (informationally) against the
-# checked-in baseline.
+# under the race detector, then history-bench. CI runs the two test lines
+# as part of `race` and calls history-bench on its own.
 seal-sweep:
 	$(GO) test -race -count=1 -run 'TestCrashSweepSeal|TestRecoveryDropsOrphanDeltas' ./internal/timestore/
 	$(GO) test -race -count=1 ./internal/tstest/
+	$(MAKE) history-bench
+
+# The history-depth benchmark with its machine-readable artifact, compared
+# (informationally) against the checked-in baseline.
+history-bench:
 	$(GO) run ./cmd/aion-bench -exp history -scale 500 -globalops 12 -json BENCH_seal.json -baseline BENCH_baseline.json

@@ -6,6 +6,7 @@ import (
 
 	"aion/internal/model"
 	"aion/internal/vfs"
+	"aion/internal/vfs/vfstest"
 )
 
 // Crash-recovery sweep for the group-commit pipeline: a CONCURRENT
@@ -141,9 +142,7 @@ func verifyRecovered(t *testing.T, k int, torn bool, db *DB, acked map[int64]mod
 
 func runGroupCommitCrashCase(t *testing.T, k int, torn bool) {
 	t.Helper()
-	fs := vfs.NewFaultFS()
-	fs.SetTornSync(torn)
-	fs.SetFailAfter(int64(k))
+	fs := vfstest.Armed(k, torn)
 	var acked map[int64]model.Timestamp
 	db, err := Open(Options{FS: fs, SyncCommits: true})
 	if err == nil {
@@ -182,9 +181,5 @@ func TestCrashSweepGroupCommit(t *testing.T) {
 	}
 	t.Logf("sweeping %d fault indexes × 2 modes over %d concurrent transactions",
 		n, crashCommitters*crashTxPerWorker)
-	for _, torn := range []bool{false, true} {
-		for k := 1; k <= n; k++ {
-			runGroupCommitCrashCase(t, k, torn)
-		}
-	}
+	vfstest.Sweep(t, n, func(k int, torn bool) { runGroupCommitCrashCase(t, k, torn) })
 }

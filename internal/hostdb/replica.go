@@ -111,8 +111,7 @@ func (db *DB) TxnFrames(from int64, maxBytes int) (frames [][]byte, next int64, 
 			}
 			frames = append(frames, append([]byte(nil), f.Payload...))
 			total += len(f.Payload)
-			// 8 bytes of record header (length + CRC) precede the payload.
-			next = f.Off + 8 + int64(len(f.Payload))
+			next = f.End()
 		}
 		return true
 	})

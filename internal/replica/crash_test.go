@@ -29,6 +29,7 @@ import (
 	"aion/internal/strstore"
 	"aion/internal/system"
 	"aion/internal/vfs"
+	"aion/internal/vfs/vfstest"
 )
 
 // openSys is openNode without the fatal error handling, for sweep cases
@@ -124,9 +125,7 @@ func verifyConverged(t *testing.T, tag string, p *system.System, pfs vfs.FS, pdi
 func runFollowerCrashCase(t *testing.T, p *system.System, pfs vfs.FS, src *Source, k int, torn bool) {
 	t.Helper()
 	tag := fmt.Sprintf("k=%d torn=%v", k, torn)
-	ffs := vfs.NewFaultFS()
-	ffs.SetTornSync(torn)
-	ffs.SetFailAfter(int64(k))
+	ffs := vfstest.Armed(k, torn)
 	var preWM model.Timestamp // highest watermark acked by a successful Apply
 	f, err := openSys(ffs, "follower", true)
 	if err == nil {
@@ -203,11 +202,7 @@ func TestCrashSweepFollower(t *testing.T) {
 	}
 	n := int(ffs.Ops())
 	t.Logf("sweeping %d follower fault indexes × 2 modes over %d transactions", n, txns)
-	for _, torn := range []bool{false, true} {
-		for k := 1; k <= n; k++ {
-			runFollowerCrashCase(t, p, pfs, src, k, torn)
-		}
-	}
+	vfstest.Sweep(t, n, func(k int, torn bool) { runFollowerCrashCase(t, p, pfs, src, k, torn) })
 }
 
 // runPrimaryCrashCase crashes the primary at fault index k while a healthy
@@ -216,9 +211,7 @@ func TestCrashSweepFollower(t *testing.T) {
 func runPrimaryCrashCase(t *testing.T, txns, k int, torn bool) {
 	t.Helper()
 	tag := fmt.Sprintf("k=%d torn=%v", k, torn)
-	pfs := vfs.NewFaultFS()
-	pfs.SetTornSync(torn)
-	pfs.SetFailAfter(int64(k))
+	pfs := vfstest.Armed(k, torn)
 	ffs := vfs.NewFaultFS()
 	f, err := openSys(ffs, "follower", true)
 	if err != nil {
@@ -303,9 +296,5 @@ func TestCrashSweepPrimary(t *testing.T) {
 	}
 	n := int(pfs.Ops())
 	t.Logf("sweeping %d primary fault indexes × 2 modes over %d transactions", n, txns)
-	for _, torn := range []bool{false, true} {
-		for k := 1; k <= n; k++ {
-			runPrimaryCrashCase(t, txns, k, torn)
-		}
-	}
+	vfstest.Sweep(t, n, func(k int, torn bool) { runPrimaryCrashCase(t, txns, k, torn) })
 }

@@ -21,6 +21,7 @@ import (
 	"aion/internal/model"
 	"aion/internal/strstore"
 	"aion/internal/vfs"
+	"aion/internal/vfs/vfstest"
 )
 
 // sysOp is one staged operation inside a transaction.
@@ -264,9 +265,7 @@ func verifySystem(t *testing.T, k int, torn bool, s *System, res sysDriveResult)
 
 func runSysCrashCase(t *testing.T, txns [][]sysOp, k int, torn bool) {
 	t.Helper()
-	fs := vfs.NewFaultFS()
-	fs.SetTornSync(torn)
-	fs.SetFailAfter(int64(k))
+	fs := vfstest.Armed(k, torn)
 	var res sysDriveResult
 	s, err := openCrashSys(fs)
 	if err == nil {
@@ -313,9 +312,5 @@ func TestCrashSweepSystem(t *testing.T) {
 	}
 	n := int(fs.Ops())
 	t.Logf("sweeping %d fault indexes × 2 modes over %d transactions (%d updates)", n, len(txns), total)
-	for _, torn := range []bool{false, true} {
-		for k := 1; k <= n; k++ {
-			runSysCrashCase(t, txns, k, torn)
-		}
-	}
+	vfstest.Sweep(t, n, func(k int, torn bool) { runSysCrashCase(t, txns, k, torn) })
 }

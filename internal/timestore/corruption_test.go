@@ -1,73 +1,85 @@
 package timestore
 
 import (
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
-
-	"aion/internal/enc"
-	"aion/internal/strstore"
 )
 
-// TestCorruptedSnapshotSurfacesError flips bytes in an on-disk snapshot
-// file; a later GetGraph that needs it must return an error, not wrong data
-// or a panic.
+// TestCorruptedSnapshotSurfacesError damages the framed files a GetGraph
+// materializes from — active snapshots (.snap) and sealed-partition chain
+// elements (.dsnap) — under both the sequential and the parallel loader. A
+// GetGraph that needs them must return an error, not wrong data or a
+// panic. A corrupt length field must not size an allocation: the frame
+// decoder trusts a length only once the record it announces fits in the
+// file, so a 4 GiB length in a tiny file allocates nothing near it.
 func TestCorruptedSnapshotSurfacesError(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(enc.NewCodec(strstore.NewMem()), Options{
-		Dir:              dir,
-		SnapshotEveryOps: 5,
-		GraphStoreBytes:  1, // force disk reads
-	})
-	if err != nil {
-		t.Fatal(err)
+	corruptions := []struct {
+		name   string
+		mangle func([]byte) []byte
+		huge   bool
+	}{
+		{"flipped-byte", func(b []byte) []byte { b[len(b)/2] ^= 0xFF; return b }, false},
+		{"truncated-tail", func(b []byte) []byte { return b[:len(b)-3] }, false},
+		{"huge-length", func(b []byte) []byte { binary.LittleEndian.PutUint32(b, 0xFFFFFFF0); return b }, true},
 	}
-	defer s.Close()
-	if err := s.AppendBatch(chainUpdates(10)); err != nil {
-		t.Fatal(err)
+	files := []struct {
+		ext  string
+		opts Options
+	}{
+		// Snapshots every 5 updates; GetGraph(6) must load an older one
+		// than the cached newest.
+		{"snap", Options{SnapshotEveryOps: 5}},
+		// Seals every 4 updates with a chain element at every timestamp;
+		// GetGraph(6) materializes from the second partition's chain.
+		{"dsnap", Options{SnapshotEveryOps: 1 << 30, PartitionEvery: 4, DeltaChainLength: 1}},
 	}
-	s.WaitSnapshots()
-	// Corrupt every snapshot file.
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-	if len(snaps) == 0 {
-		t.Fatal("no snapshots written")
-	}
-	for _, path := range snaps {
-		b, _ := os.ReadFile(path)
-		if len(b) > 10 {
-			b[len(b)/2] ^= 0xFF
-			os.WriteFile(path, b, 0o644)
+	for _, par := range []int{1, 2} {
+		for _, file := range files {
+			for _, c := range corruptions {
+				t.Run(fmt.Sprintf("par%d/%s/%s", par, file.ext, c.name), func(t *testing.T) {
+					opts := file.opts
+					opts.Dir = t.TempDir()
+					opts.GraphStoreBytes = 1 // force disk reads
+					opts.ParallelIO = par
+					s := openStore(t, opts)
+					for _, u := range chainUpdates(10) {
+						if err := s.Append(u); err != nil {
+							t.Fatal(err)
+						}
+					}
+					s.WaitSnapshots()
+					paths, _ := filepath.Glob(filepath.Join(opts.Dir, "*", "*."+file.ext))
+					top, _ := filepath.Glob(filepath.Join(opts.Dir, "*."+file.ext))
+					paths = append(paths, top...)
+					if len(paths) == 0 {
+						t.Fatalf("no .%s files written", file.ext)
+					}
+					for _, path := range paths {
+						b, err := os.ReadFile(path)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := os.WriteFile(path, c.mangle(b), 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+					var before, after runtime.MemStats
+					runtime.GC()
+					runtime.ReadMemStats(&before)
+					_, err := s.GetGraph(6)
+					runtime.ReadMemStats(&after)
+					if err == nil {
+						t.Fatalf("GetGraph over a %s .%s file must surface an error", c.name, file.ext)
+					}
+					if alloc := after.TotalAlloc - before.TotalAlloc; c.huge && alloc >= 64<<20 {
+						t.Fatalf("GetGraph allocated %d MiB decoding a corrupt length", alloc>>20)
+					}
+				})
+			}
 		}
-	}
-	// A query below the cached (newest) snapshot must load an older one
-	// from disk and see the corruption.
-	if _, err := s.GetGraph(6); err == nil {
-		t.Error("corrupted snapshot must surface an error")
-	}
-}
-
-// TestTruncatedSnapshotSurfacesError truncates a snapshot file mid-record.
-func TestTruncatedSnapshotSurfacesError(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(enc.NewCodec(strstore.NewMem()), Options{
-		Dir:              dir,
-		SnapshotEveryOps: 5,
-		GraphStoreBytes:  1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.AppendBatch(chainUpdates(10)); err != nil {
-		t.Fatal(err)
-	}
-	s.WaitSnapshots()
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-	for _, path := range snaps {
-		b, _ := os.ReadFile(path)
-		os.WriteFile(path, b[:len(b)-3], 0o644)
-	}
-	if _, err := s.GetGraph(6); err == nil {
-		t.Error("truncated snapshot must surface an error")
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"aion/internal/model"
 	"aion/internal/strstore"
 	"aion/internal/vfs"
+	"aion/internal/vfs/vfstest"
 )
 
 // genWorkload builds a deterministic, valid update stream: node/rel
@@ -176,9 +177,7 @@ func verifyRecovered(t *testing.T, k int, torn bool, codec *enc.Codec, st *Store
 func runCrashCase(t *testing.T, us []model.Update, k int, torn bool) {
 	t.Helper()
 	codec := enc.NewCodec(strstore.NewMem())
-	fs := vfs.NewFaultFS()
-	fs.SetTornSync(torn)
-	fs.SetFailAfter(int64(k))
+	fs := vfstest.Armed(k, torn)
 	var res driveResult
 	st, err := openCrashTS(fs, codec)
 	if err == nil {
@@ -217,11 +216,7 @@ func TestCrashSweepTimeStore(t *testing.T) {
 		t.Fatalf("workload produced only %d mutating ops", n)
 	}
 	t.Logf("sweeping %d fault indexes × 2 modes over a %d-update workload", n, len(us))
-	for _, torn := range []bool{false, true} {
-		for k := 1; k <= n; k++ {
-			runCrashCase(t, us, k, torn)
-		}
-	}
+	vfstest.Sweep(t, n, func(k int, torn bool) { runCrashCase(t, us, k, torn) })
 }
 
 // TestCrashMidSnapshotKeepsPreviousSnapshots is the satellite regression: a

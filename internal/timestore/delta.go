@@ -10,12 +10,8 @@
 package timestore
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"path/filepath"
 	"sort"
@@ -24,6 +20,7 @@ import (
 	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/vfs"
+	"aion/internal/wal"
 )
 
 // compactPartition replays p's log once on top of the partition's entry
@@ -70,7 +67,7 @@ func (s *Store) compactPartition(ctx context.Context, p *sealedPart, entry *memg
 		return nil
 	}
 	var derr error
-	err := s.replayWalSeq(ctx, p.log, 0, func(off int64, u model.Update) bool {
+	err := s.replaySeq(ctx, logFrames(p.log, 0), func(off int64, u model.Update) bool {
 		// Cut only at timestamp boundaries: every element is complete at
 		// its timestamp, so ts-only floor searches are exact.
 		if len(seg) >= segTarget && u.TS > cur.ts {
@@ -135,153 +132,74 @@ func (s *Store) appendChainElem(p *sealedPart, elems *[]chainElem, kind enc.Delt
 	return nil
 }
 
-// writeChainFile persists one chain element with the snapshot files'
-// atomic-replace protocol and len+CRC framing: frame 0 is the delta header,
-// frames 1..Count are update records.
+// writeChainFile atomically persists one chain element, framed like the
+// snapshot files: frame 0 is the delta header, frames 1..Count are update
+// records.
 func (s *Store) writeChainFile(dir string, hdr enc.DeltaHeader, us []model.Update) (string, int64, error) {
 	path := filepath.Join(dir, chainFileName(hdr.Kind, position{ts: hdr.TS, seq: hdr.Seq}))
-	tmp := path + ".tmp"
-	n, err := s.writeChainFileBody(tmp, hdr, us)
+	n, err := s.writeFramedFile(path, func(w io.Writer) error {
+		if _, err := w.Write(wal.AppendFrame(nil, enc.AppendDeltaHeader(nil, hdr))); err != nil {
+			return err
+		}
+		return s.writeUpdateFrames(w, us)
+	})
 	if err != nil {
-		_ = s.fs.Remove(tmp)
-		return "", 0, err
-	}
-	if err := s.fs.Rename(tmp, path); err != nil {
-		_ = s.fs.Remove(tmp)
-		return "", 0, err
-	}
-	if err := s.fs.SyncDir(dir); err != nil {
 		return "", 0, err
 	}
 	return path, n, nil
 }
 
-func (s *Store) writeChainFileBody(path string, hdr enc.DeltaHeader, us []model.Update) (int64, error) {
-	f, err := s.fs.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	w := bufio.NewWriterSize(&vfs.SeqWriter{F: f}, 1<<16)
-	var written int64
-	var fh [8]byte
-	frame := func(payload []byte) error {
-		binary.LittleEndian.PutUint32(fh[:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(fh[4:], crc32.ChecksumIEEE(payload))
-		if _, werr := w.Write(fh[:]); werr != nil {
-			return werr
-		}
-		_, werr := w.Write(payload)
-		written += int64(8 + len(payload))
-		return werr
-	}
-	if err := frame(enc.AppendDeltaHeader(nil, hdr)); err != nil {
-		return written, errors.Join(err, f.Close())
-	}
-	buf := make([]byte, 0, 256)
-	for _, u := range us {
-		buf, err = s.codec.AppendUpdate(buf[:0], u)
-		if err != nil {
-			return written, errors.Join(err, f.Close())
-		}
-		if err := frame(buf); err != nil {
-			return written, errors.Join(err, f.Close())
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return written, errors.Join(err, f.Close())
-	}
-	// Chain records hold string refs: the table must be durable first.
-	if err := s.codec.Strings.Sync(); err != nil {
-		return written, errors.Join(err, f.Close())
-	}
-	if err := f.Sync(); err != nil {
-		return written, errors.Join(err, f.Close())
-	}
-	return written, f.Close()
-}
-
 // readChainHeader reads and validates only frame 0 of a chain file (cheap:
-// recovery derivation opens every chain file this way).
-func readChainHeader(fs vfs.FS, path string) (hdr enc.DeltaHeader, err error) {
-	f, err := fs.Open(path)
-	if err != nil {
-		return hdr, err
+// recovery derivation opens every chain file this way), returning the
+// header and the offset of the first update record.
+func readChainHeader(fs vfs.FS, path string) (hdr enc.DeltaHeader, next int64, err error) {
+	next = -1
+	var derr error
+	err = scanFile(fs, path, 0, 512, func(frames []wal.Frame) bool {
+		hdr, derr = enc.DecodeDeltaHeader(frames[0].Payload)
+		next = frames[0].End()
+		return false
+	})
+	if err == nil {
+		err = derr
 	}
-	defer vfs.CloseChecked(f, &err)
-	sr, err := vfs.NewReader(f)
-	if err != nil {
-		return hdr, err
+	if err == nil && next < 0 {
+		err = fmt.Errorf("timestore: chain file %s has no header", path)
 	}
-	payload, err := readFrame(bufio.NewReaderSize(sr, 512))
-	if err != nil {
-		return hdr, err
-	}
-	return enc.DecodeDeltaHeader(payload)
-}
-
-// readFrame reads one len+CRC frame, verifying the checksum.
-func readFrame(r *bufio.Reader) ([]byte, error) {
-	var fh [8]byte
-	if _, err := io.ReadFull(r, fh[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(fh[:4])
-	sum := binary.LittleEndian.Uint32(fh[4:])
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, fmt.Errorf("timestore: chain frame checksum mismatch")
-	}
-	return payload, nil
+	return hdr, next, err
 }
 
 // applyChainFile streams elem's update records into g. countReplay marks
 // delta applications (materialization work the chain could not avoid) for
 // the ReplayedUpdates stat; full loads are snapshot loads, not replay.
-func (s *Store) applyChainFile(ctx context.Context, elem chainElem, g *memgraph.Graph, countReplay bool) (err error) {
-	f, err := s.fs.Open(elem.path)
-	if err != nil {
-		return err
-	}
-	defer vfs.CloseChecked(f, &err)
-	sr, err := vfs.NewReader(f)
-	if err != nil {
-		return err
-	}
-	r := bufio.NewReaderSize(sr, 1<<16)
-	payload, err := readFrame(r)
-	if err != nil {
-		return err
-	}
-	hdr, err := enc.DecodeDeltaHeader(payload)
+func (s *Store) applyChainFile(ctx context.Context, elem chainElem, g *memgraph.Graph, countReplay bool) error {
+	hdr, from, err := readChainHeader(s.fs, elem.path)
 	if err != nil {
 		return err
 	}
 	if hdr.Kind != elem.kind || hdr.TS != elem.pos.ts || hdr.Seq != elem.pos.seq || hdr.Count != elem.count {
 		return fmt.Errorf("timestore: chain file %s header changed since derivation", elem.path)
 	}
-	for i := uint64(0); i < hdr.Count; i++ {
-		if i%frameBatchRecords == 0 {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
+	var records uint64
+	var aerr error
+	err = s.replaySeq(ctx, s.fileFrames(elem.path, from), func(_ int64, u model.Update) bool {
+		if aerr = g.Apply(u); aerr != nil {
+			return false
 		}
-		payload, err := readFrame(r)
-		if err != nil {
-			return fmt.Errorf("timestore: chain file %s record %d: %w", elem.path, i, err)
-		}
-		u, err := s.codec.DecodeUpdate(payload)
-		if err != nil {
-			return err
-		}
-		if err := g.Apply(u); err != nil {
-			return fmt.Errorf("timestore: chain apply %s: %w", elem.path, err)
-		}
+		records++
 		if countReplay {
 			s.replayed.Add(1)
 		}
+		return true
+	})
+	if err == nil {
+		err = aerr
+	}
+	if err == nil && records != hdr.Count {
+		err = fmt.Errorf("holds %d records, header says %d", records, hdr.Count)
+	}
+	if err != nil {
+		return fmt.Errorf("timestore: chain file %s: %w", elem.path, err)
 	}
 	return nil
 }

@@ -10,11 +10,9 @@ package timestore
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"aion/internal/memgraph"
@@ -25,26 +23,24 @@ import (
 )
 
 const (
-	// frameBatchRecords is the number of records grouped into one pipeline
-	// job: large enough to amortize channel hand-off, small enough to keep
-	// every worker busy near the end of a file.
+	// frameBatchRecords is the number of updates grouped into one snapshot
+	// encode job: large enough to amortize channel hand-off, small enough
+	// to keep every worker busy near the end of a file. (Decode jobs are
+	// the frame scan's batches, of similar size.)
 	frameBatchRecords = 256
-	// frameBatchBytes caps a job's payload bytes so huge records do not
-	// inflate pipeline memory (in-flight jobs are bounded by the stage).
+	// frameBatchBytes is the initial capacity of the pooled job buffers.
 	frameBatchBytes = 256 << 10
-	// replayReadahead is the log ScanBatch chunk size used during replay.
+	// replayReadahead is the wal.ScanFrames chunk size used during replay.
 	replayReadahead = 1 << 20
 )
 
 // frameBatch is one pipeline job: a pooled buffer of concatenated record
 // payloads plus per-record metadata. ends[i] is the end offset of record i
-// within buf; sums carries the snapshot frame CRCs (verified by the
-// workers); offs carries log offsets during replay (the WAL scan verifies
-// its own CRCs).
+// within buf; offs[i] is its file offset (the frame scan has already
+// verified every CRC).
 type frameBatch struct {
 	buf  *[]byte
 	ends []int
-	sums []uint32
 	offs []int64
 }
 
@@ -54,217 +50,176 @@ func (b *frameBatch) release(s *Store) {
 	s.framePool.Put(b.buf)
 }
 
-// decodedBatch is a worker's output: updates in record order plus, for
-// replay, the log offset of each.
+// decodedBatch is a worker's output: updates in record order plus the
+// file offset of each.
 type decodedBatch struct {
 	us   []model.Update
 	offs []int64
 }
 
-// writeSnapshotFile serializes a full graph materialization (a framed
-// sequence of insertion updates in the Fig 3 record format), returning the
-// bytes written. ParallelIO > 1 encodes on a worker pool.
-func (s *Store) writeSnapshotFile(path string, g *memgraph.Graph) (int64, error) {
-	if s.opts.ParallelIO > 1 {
-		return s.writeSnapshotFileParallel(path, g)
+// writeUpdateFrames writes one wal frame per update, holding the update's
+// Fig 3 record, to w: one Write per frame, with reused encode buffers.
+func (s *Store) writeUpdateFrames(w io.Writer, us []model.Update) error {
+	var rec, frame []byte
+	for _, u := range us {
+		var err error
+		if rec, err = s.codec.AppendUpdate(rec[:0], u); err != nil {
+			return err
+		}
+		frame = wal.AppendFrame(frame[:0], rec)
+		if _, err := w.Write(frame); err != nil {
+			return err
+		}
 	}
-	return s.writeSnapshotFileSeq(path, g)
+	return nil
 }
 
-// writeSnapshotFileParallel: update slices are encoded and CRC-framed by
-// ParallelIO workers; the consumer streams the finished chunks to one
-// bufio writer in emission order, so the file bytes are identical to the
-// sequential writer's.
-func (s *Store) writeSnapshotFileParallel(path string, g *memgraph.Graph) (int64, error) {
-	f, err := s.fs.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	w := bufio.NewWriterSize(&vfs.SeqWriter{F: f}, 1<<16)
+// writeFramedFile atomically replaces path (vfs.WriteFileAtomic) with the
+// frames body writes through a 64 KiB buffer, returning the bytes written.
+// Snapshot and chain records hold string refs, so the string table is
+// synced before the file's own fsync.
+func (s *Store) writeFramedFile(path string, body func(w io.Writer) error) (int64, error) {
 	var written int64
+	err := vfs.WriteFileAtomic(s.fs, path, func(f vfs.File) error {
+		sw := &vfs.SeqWriter{F: f}
+		w := bufio.NewWriterSize(sw, 1<<16)
+		if err := body(w); err != nil {
+			return err
+		}
+		if err := w.Flush(); err != nil {
+			return err
+		}
+		written = sw.Off
+		return s.codec.Strings.Sync()
+	})
+	return written, err
+}
+
+// writeSnapshotFile atomically persists a full graph materialization as a
+// framed sequence of insertion updates in the Fig 3 record format,
+// returning the bytes written. ParallelIO > 1 encodes on a worker pool and
+// streams the finished chunks in emission order, so the file bytes are
+// identical to the sequential writer's; the sequential loop (ParallelIO=1)
+// is the reference implementation.
+func (s *Store) writeSnapshotFile(path string, g *memgraph.Graph) (int64, error) {
 	us := g.Export()
-	err = pool.RunOrdered(s.opts.ParallelIO,
-		func(emit func([]model.Update) bool) error {
-			for len(us) > 0 {
-				n := frameBatchRecords
-				if n > len(us) {
-					n = len(us)
+	return s.writeFramedFile(path, func(w io.Writer) error {
+		if s.opts.ParallelIO <= 1 {
+			return s.writeUpdateFrames(w, us)
+		}
+		return pool.RunOrdered(s.opts.ParallelIO,
+			func(emit func([]model.Update) bool) error {
+				for len(us) > 0 {
+					n := min(frameBatchRecords, len(us))
+					if !emit(us[:n]) {
+						return nil
+					}
+					us = us[n:]
 				}
-				if !emit(us[:n]) {
-					return nil
-				}
-				us = us[n:]
-			}
-			return nil
-		},
-		func(batch []model.Update) (*[]byte, error) {
-			bp := s.framePool.Get()
-			buf := *bp
-			for _, u := range batch {
-				start := len(buf)
-				buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame header slot
-				var err error
-				buf, err = s.codec.AppendUpdate(buf, u)
+				return nil
+			},
+			func(batch []model.Update) (*[]byte, error) {
+				bp := s.framePool.Get()
+				buf := bytes.NewBuffer((*bp)[:0])
+				err := s.writeUpdateFrames(buf, batch)
+				*bp = buf.Bytes()
 				if err != nil {
-					*bp = buf[:0]
+					*bp = (*bp)[:0]
 					s.framePool.Put(bp)
 					return nil, err
 				}
-				payload := buf[start+8:]
-				binary.LittleEndian.PutUint32(buf[start:start+4], uint32(len(payload)))
-				binary.LittleEndian.PutUint32(buf[start+4:start+8], crc32.ChecksumIEEE(payload))
-			}
-			*bp = buf
-			return bp, nil
-		},
-		func(bp *[]byte) error {
-			_, werr := w.Write(*bp)
-			written += int64(len(*bp))
-			*bp = (*bp)[:0]
-			s.framePool.Put(bp)
-			return werr
-		})
-	if err != nil {
-		return written, errors.Join(err, f.Close())
-	}
-	if err := w.Flush(); err != nil {
-		return written, errors.Join(err, f.Close())
-	}
-	// Snapshot records hold string refs: the table must be durable before
-	// the snapshot bytes are.
-	if err := s.codec.Strings.Sync(); err != nil {
-		return written, errors.Join(err, f.Close())
-	}
-	if err := f.Sync(); err != nil {
-		return written, errors.Join(err, f.Close())
-	}
-	return written, f.Close()
+				return bp, nil
+			},
+			func(bp *[]byte) error {
+				_, werr := w.Write(*bp)
+				*bp = (*bp)[:0]
+				s.framePool.Put(bp)
+				return werr
+			})
+	})
 }
 
-// loadSnapshotFile materializes a snapshot file into a fresh graph,
-// observing ctx cancellation between frame batches. ParallelIO > 1 runs the
-// 3-stage pipeline: sequential frame reader → CRC+decode workers →
-// in-order ApplyAll batches.
+// loadSnapshotFile materializes a snapshot file into a fresh graph. A
+// snapshot is a framed run of insertion updates, so loading one is
+// replaying that file into an empty graph through the log-replay engine.
 func (s *Store) loadSnapshotFile(ctx context.Context, path string, ts model.Timestamp) (*memgraph.Graph, error) {
-	if s.opts.ParallelIO > 1 {
-		return s.loadSnapshotFileParallel(ctx, path, ts)
+	g := memgraph.New()
+	var aerr error
+	err := s.replay(ctx, s.fileFrames(path, 0), func(_ int64, u model.Update) bool {
+		aerr = g.Apply(u)
+		return aerr == nil
+	})
+	if err == nil {
+		err = aerr
 	}
-	return s.loadSnapshotFileSeq(ctx, path, ts)
-}
-
-func (s *Store) loadSnapshotFileParallel(ctx context.Context, path string, ts model.Timestamp) (g *memgraph.Graph, err error) {
-	f, err := s.fs.Open(path)
 	if err != nil {
-		return nil, err
-	}
-	defer vfs.CloseChecked(f, &err)
-	sr, err := vfs.NewReader(f)
-	if err != nil {
-		return nil, err
-	}
-	r := bufio.NewReaderSize(sr, 1<<16)
-	g = memgraph.New()
-	err = pool.RunOrderedCtx(ctx, s.opts.ParallelIO,
-		func(emit func(frameBatch) bool) error {
-			var hdr [8]byte
-			eof := false
-			for !eof {
-				b := frameBatch{buf: s.framePool.Get()}
-				buf := (*b.buf)[:0]
-				for len(b.ends) < frameBatchRecords && len(buf) < frameBatchBytes {
-					if _, err := io.ReadFull(r, hdr[:]); err != nil {
-						if err == io.EOF {
-							eof = true
-							break
-						}
-						b.release(s)
-						return fmt.Errorf("timestore: snapshot read: %w", err)
-					}
-					n := int(binary.LittleEndian.Uint32(hdr[:4]))
-					start := len(buf)
-					buf = growBytes(buf, n)
-					if _, err := io.ReadFull(r, buf[start:]); err != nil {
-						b.release(s)
-						return fmt.Errorf("timestore: snapshot body: %w", err)
-					}
-					b.ends = append(b.ends, len(buf))
-					b.sums = append(b.sums, binary.LittleEndian.Uint32(hdr[4:]))
-				}
-				*b.buf = buf
-				if len(b.ends) == 0 {
-					b.release(s)
-					continue
-				}
-				if !emit(b) {
-					return nil
-				}
-			}
-			return nil
-		},
-		func(b frameBatch) (decodedBatch, error) {
-			defer b.release(s)
-			buf := *b.buf
-			payloads := make([][]byte, len(b.ends))
-			start := 0
-			for i, end := range b.ends {
-				payload := buf[start:end]
-				if crc32.ChecksumIEEE(payload) != b.sums[i] {
-					return decodedBatch{}, fmt.Errorf("timestore: snapshot checksum mismatch in %s", path)
-				}
-				payloads[i] = payload
-				start = end
-			}
-			us, err := s.codec.DecodeUpdates(make([]model.Update, 0, len(payloads)), payloads)
-			if err != nil {
-				return decodedBatch{}, err
-			}
-			return decodedBatch{us: us}, nil
-		},
-		func(d decodedBatch) error {
-			return g.ApplyAll(d.us)
-		})
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("timestore: snapshot %s: %w", path, err)
 	}
 	g.SetTimestamp(ts)
 	return g, nil
 }
 
-// growBytes extends b by n zero bytes, reallocating only when needed.
-func growBytes(b []byte, n int) []byte {
-	if cap(b)-len(b) >= n {
-		return b[:len(b)+n]
+// frameSource feeds fn the framed records of one file in readahead batches
+// until fn returns false: a log from an offset (logFrames) or a snapshot
+// or chain file (fileFrames).
+type frameSource func(fn func([]wal.Frame) bool) error
+
+func logFrames(l *wal.Log, from int64) frameSource {
+	return func(fn func([]wal.Frame) bool) error {
+		_, err := l.ScanBatch(from, replayReadahead, fn)
+		return err
 	}
-	return append(b, make([]byte, n)...)
+}
+
+func (s *Store) fileFrames(path string, from int64) frameSource {
+	return func(fn func([]wal.Frame) bool) error {
+		return scanFile(s.fs, path, from, replayReadahead, fn)
+	}
+}
+
+// scanFile runs wal.ScanFrames over the file at path from offset from to
+// its end.
+func scanFile(fs vfs.FS, path string, from int64, readahead int, fn func([]wal.Frame) bool) (err error) {
+	f, err := fs.Open(path)
+	if err != nil {
+		return err
+	}
+	defer vfs.CloseChecked(f, &err)
+	size, err := f.Size()
+	if err != nil {
+		return err
+	}
+	_, err = wal.ScanFrames(f, from, size, readahead, fn)
+	return err
 }
 
 // replayLog streams decoded updates (with their log offsets) from the
 // *active* log starting at offset from, in commit order, stopping early
 // when fn returns false or ctx is cancelled (cancellation is checked once
 // per readahead batch, so a runaway range scan stops within one batch of
-// the deadline). It is the shared replay engine of recover, ScanDiff, and
-// therefore GetGraph/GetGraphs: the WAL is scanned with readahead batches
-// and, when ParallelIO > 1, record decoding runs on the worker stage while
-// fn (index maintenance, graph apply) stays in order on the calling
-// goroutine. Sealed partition segments replay through the same engine via
-// replayWal/replayWalSeq with their own logs.
+// the deadline). It runs on replay, the shared engine of recover,
+// ScanDiff, and therefore GetGraph/GetGraphs, and of snapshot loads: the
+// frames are read in readahead batches and, when ParallelIO > 1, record
+// decoding runs on the worker stage while fn (index maintenance, graph
+// apply) stays in order on the calling goroutine. Sealed partition
+// segments and chain files replay through replaySeq.
 func (s *Store) replayLog(ctx context.Context, from int64, fn func(off int64, u model.Update) bool) error {
-	return s.replayWal(ctx, s.log, from, fn)
+	return s.replay(ctx, logFrames(s.log, from), fn)
 }
 
-func (s *Store) replayWal(ctx context.Context, l *wal.Log, from int64, fn func(off int64, u model.Update) bool) error {
+func (s *Store) replay(ctx context.Context, src frameSource, fn func(off int64, u model.Update) bool) error {
 	if s.opts.ParallelIO > 1 {
-		return s.replayWalParallel(ctx, l, from, fn)
+		return s.replayParallel(ctx, src, fn)
 	}
-	return s.replayWalSeq(ctx, l, from, fn)
+	return s.replaySeq(ctx, src, fn)
 }
 
-// replayWalSeq is the sequential replay path, also used inside scatter-
+// replaySeq is the sequential replay path, also used inside scatter-
 // gather workers (collectPart) where nesting another pipeline per
 // partition would oversubscribe the pool.
-func (s *Store) replayWalSeq(ctx context.Context, l *wal.Log, from int64, fn func(off int64, u model.Update) bool) error {
+func (s *Store) replaySeq(ctx context.Context, src frameSource, fn func(off int64, u model.Update) bool) error {
 	var derr error
-	_, err := l.ScanBatch(from, replayReadahead, func(frames []wal.Frame) bool {
+	err := src(func(frames []wal.Frame) bool {
 		if derr = ctx.Err(); derr != nil {
 			return false
 		}
@@ -286,32 +241,26 @@ func (s *Store) replayWalSeq(ctx context.Context, l *wal.Log, from int64, fn fun
 	return err
 }
 
-func (s *Store) replayWalParallel(ctx context.Context, l *wal.Log, from int64, fn func(off int64, u model.Update) bool) error {
+func (s *Store) replayParallel(ctx context.Context, src frameSource, fn func(off int64, u model.Update) bool) error {
 	return pool.RunOrderedCtx(ctx, s.opts.ParallelIO,
 		func(emit func(frameBatch) bool) error {
 			stopped := false
-			_, err := l.ScanBatch(from, replayReadahead, func(frames []wal.Frame) bool {
-				// Frames alias the scan's readahead buffer, so each job
+			err := src(func(frames []wal.Frame) bool {
+				// One job per scan batch (at most a few hundred records).
+				// Frames alias the scan's readahead buffer, so the job
 				// copies its records into a pooled batch buffer before the
 				// scan moves on.
-				for len(frames) > 0 {
-					n := len(frames)
-					if n > frameBatchRecords {
-						n = frameBatchRecords
-					}
-					b := frameBatch{buf: s.framePool.Get()}
-					buf := (*b.buf)[:0]
-					for _, fr := range frames[:n] {
-						buf = append(buf, fr.Payload...)
-						b.ends = append(b.ends, len(buf))
-						b.offs = append(b.offs, fr.Off)
-					}
-					*b.buf = buf
-					frames = frames[n:]
-					if !emit(b) {
-						stopped = true
-						return false
-					}
+				b := frameBatch{buf: s.framePool.Get()}
+				buf := (*b.buf)[:0]
+				for _, fr := range frames {
+					buf = append(buf, fr.Payload...)
+					b.ends = append(b.ends, len(buf))
+					b.offs = append(b.offs, fr.Off)
+				}
+				*b.buf = buf
+				if !emit(b) {
+					stopped = true
+					return false
 				}
 				return true
 			})

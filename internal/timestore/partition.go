@@ -328,7 +328,7 @@ func deriveChain(fs vfs.FS, p *sealedPart) error {
 		if !ok {
 			continue
 		}
-		hdr, herr := readChainHeader(fs, full)
+		hdr, _, herr := readChainHeader(fs, full)
 		if herr != nil || hdr.Kind != kind || hdr.TS != pos.ts || hdr.Seq != pos.seq {
 			// Torn, corrupt, or misnamed element: useless and unsafe to keep.
 			if err := fs.Remove(full); err != nil {

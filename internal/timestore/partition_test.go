@@ -17,6 +17,7 @@ import (
 	"aion/internal/model"
 	"aion/internal/strstore"
 	"aion/internal/vfs"
+	"aion/internal/vfs/vfstest"
 )
 
 func openCrashSealTS(fs vfs.FS, codec *enc.Codec) (*Store, error) {
@@ -74,9 +75,7 @@ func verifySealedLayout(t *testing.T, k int, torn bool, fs vfs.FS, st *Store) {
 func runSealCrashCase(t *testing.T, us []model.Update, k int, torn bool) {
 	t.Helper()
 	codec := enc.NewCodec(strstore.NewMem())
-	fs := vfs.NewFaultFS()
-	fs.SetTornSync(torn)
-	fs.SetFailAfter(int64(k))
+	fs := vfstest.Armed(k, torn)
 	var res driveResult
 	st, err := openCrashSealTS(fs, codec)
 	if err == nil {
@@ -119,11 +118,7 @@ func TestCrashSweepSeal(t *testing.T) {
 	n := int(fs.Ops())
 	t.Logf("sweeping %d fault indexes × 2 modes over a %d-update, %d-seal workload",
 		n, len(us), 3)
-	for _, torn := range []bool{false, true} {
-		for k := 1; k <= n; k++ {
-			runSealCrashCase(t, us, k, torn)
-		}
-	}
+	vfstest.Sweep(t, n, func(k int, torn bool) { runSealCrashCase(t, us, k, torn) })
 }
 
 // TestRecoveryDropsOrphanDeltas is the latent-bug regression: deleting a

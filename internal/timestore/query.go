@@ -147,7 +147,7 @@ func (s *Store) collectPart(ctx context.Context, p *sealedPart, fromTS model.Tim
 		start = p.chain[j].logOff
 	}
 	var out []model.Update
-	err := s.replayWalSeq(ctx, p.log, start, func(_ int64, u model.Update) bool {
+	err := s.replaySeq(ctx, logFrames(p.log, start), func(_ int64, u model.Update) bool {
 		if u.TS >= end {
 			return false
 		}

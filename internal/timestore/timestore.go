@@ -8,13 +8,9 @@
 package timestore
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -294,7 +290,7 @@ func (s *Store) persistSnapshot(g *memgraph.Graph, seq uint32) {
 	if sz, err := s.fs.Stat(path); err == nil {
 		replaced = sz // re-snapshot at the same ts overwrites the file
 	}
-	n, err := s.writeSnapshotAtomic(path, g)
+	n, err := s.writeSnapshotFile(path, g)
 	if err != nil {
 		// Snapshot loss is tolerable (the log still covers the range), but
 		// never silent: the failure is counted and surfaced through Stats.
@@ -387,7 +383,7 @@ func (s *Store) recoverSealed(ctx context.Context) (*memgraph.Graph, error) {
 		// plain replay.
 		var n uint64
 		var aerr error
-		err := s.replayWalSeq(ctx, p.log, 0, func(_ int64, u model.Update) bool {
+		err := s.replaySeq(ctx, logFrames(p.log, 0), func(_ int64, u model.Update) bool {
 			n++
 			aerr = g.Apply(u)
 			return aerr == nil
@@ -796,7 +792,7 @@ func (s *Store) createSnapshotLocked() error {
 	if sz, err := s.fs.Stat(path); err == nil {
 		replaced = sz
 	}
-	n, err := s.writeSnapshotAtomic(path, g)
+	n, err := s.writeSnapshotFile(path, g)
 	if err != nil {
 		s.recordSnapshotError(err)
 		return err
@@ -816,120 +812,6 @@ func (s *Store) createSnapshotLocked() error {
 	s.snapshotCount.Add(1)
 	s.snapshotBytes.Add(n - replaced)
 	return nil
-}
-
-// writeSnapshotAtomic persists a snapshot with the atomic-replace protocol:
-// write to path+".tmp", fsync the file, rename over the final name, fsync
-// the directory. A crash at any point leaves either the complete previous
-// snapshot set (leftover tmps are removed by recover) or the complete new
-// snapshot — never a half-written file under a live name.
-func (s *Store) writeSnapshotAtomic(path string, g *memgraph.Graph) (int64, error) {
-	tmp := path + ".tmp"
-	n, err := s.writeSnapshotFile(tmp, g)
-	if err != nil {
-		_ = s.fs.Remove(tmp)
-		return 0, err
-	}
-	if err := s.fs.Rename(tmp, path); err != nil {
-		_ = s.fs.Remove(tmp)
-		return 0, err
-	}
-	if err := s.fs.SyncDir(s.opts.Dir); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// writeSnapshotFileSeq is the single-threaded snapshot writer (the
-// ParallelIO=1 path): a framed sequence of insertion updates in the Fig 3
-// record format. The parallel writer in parallel.go produces byte-identical
-// files; this loop is the reference implementation. The file is fsynced
-// before close so writeSnapshotAtomic's rename only publishes durable bytes.
-func (s *Store) writeSnapshotFileSeq(path string, g *memgraph.Graph) (int64, error) {
-	f, err := s.fs.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	w := bufio.NewWriterSize(&vfs.SeqWriter{F: f}, 1<<16)
-	var written int64
-	var hdr [8]byte
-	buf := make([]byte, 0, 256)
-	for _, u := range g.Export() {
-		buf = buf[:0]
-		buf, err = s.codec.AppendUpdate(buf, u)
-		if err != nil {
-			return written, errors.Join(err, f.Close())
-		}
-		binary.LittleEndian.PutUint32(hdr[:4], uint32(len(buf)))
-		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(buf))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return written, errors.Join(err, f.Close())
-		}
-		if _, err := w.Write(buf); err != nil {
-			return written, errors.Join(err, f.Close())
-		}
-		written += int64(len(hdr) + len(buf))
-	}
-	if err := w.Flush(); err != nil {
-		return written, errors.Join(err, f.Close())
-	}
-	// Snapshot records hold string refs: the table must be durable before
-	// the snapshot bytes are.
-	if err := s.codec.Strings.Sync(); err != nil {
-		return written, errors.Join(err, f.Close())
-	}
-	if err := f.Sync(); err != nil {
-		return written, errors.Join(err, f.Close())
-	}
-	return written, f.Close()
-}
-
-func (s *Store) loadSnapshotFileSeq(ctx context.Context, path string, ts model.Timestamp) (g *memgraph.Graph, err error) {
-	f, err := s.fs.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer vfs.CloseChecked(f, &err)
-	sr, err := vfs.NewReader(f)
-	if err != nil {
-		return nil, err
-	}
-	r := bufio.NewReaderSize(sr, 1<<16)
-	g = memgraph.New()
-	var hdr [8]byte
-	for records := 0; ; records++ {
-		// Snapshot files can hold millions of records; a stride check keeps
-		// a cancelled load from running to completion anyway.
-		if records%frameBatchRecords == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("timestore: snapshot read: %w", err)
-		}
-		n := binary.LittleEndian.Uint32(hdr[:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:])
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, fmt.Errorf("timestore: snapshot body: %w", err)
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, fmt.Errorf("timestore: snapshot checksum mismatch in %s", path)
-		}
-		u, err := s.codec.DecodeUpdate(payload)
-		if err != nil {
-			return nil, err
-		}
-		if err := g.Apply(u); err != nil {
-			return nil, err
-		}
-	}
-	g.SetTimestamp(ts)
-	return g, nil
 }
 
 // Stats reports store counters for the benchmark harness.

@@ -16,6 +16,7 @@ import (
 
 	"aion/internal/model"
 	"aion/internal/timestore"
+	"aion/internal/vfs/vfstest"
 )
 
 func monoOpts() timestore.Options {
@@ -185,11 +186,7 @@ func TestCrashEquivalenceSweep(t *testing.T) {
 	t.Logf("sweeping %d fault indexes × 2 modes with cross-store verification", n)
 
 	cmp := NewComparator()
-	for _, torn := range []bool{false, true} {
-		for k := 1; k <= n; k++ {
-			runCrashEquivalenceCase(t, cmp, us, maxTS, sweepOpts, k, torn)
-		}
-	}
+	vfstest.Sweep(t, n, func(k int, torn bool) { runCrashEquivalenceCase(t, cmp, us, maxTS, sweepOpts, k, torn) })
 }
 
 func runCrashEquivalenceCase(t *testing.T, cmp *Comparator, us []model.Update, maxTS model.Timestamp, opts timestore.Options, k int, torn bool) {

@@ -13,7 +13,6 @@ package vfs
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -179,6 +178,37 @@ func CloseChecked(f File, err *error) {
 	}
 }
 
+// WriteFileAtomic replaces path with the contents write produces, using the
+// atomic-replace protocol: create path+".tmp", let write fill it, fsync
+// and close it, rename it over path, and fsync the parent directory. A
+// crash at any point leaves either the previous file or the complete new
+// one under path, never a half-written file; a leftover tmp is the only
+// trace, and stores remove those at open. If any step up to and
+// including the rename fails, the tmp is removed. write runs before the
+// fsync, so a caller whose records reference another durable structure
+// (the string table) syncs that structure inside write, ahead of the
+// file's own fsync.
+func WriteFileAtomic(fs FS, path string, write func(f File) error) error {
+	tmp := path + ".tmp"
+	f, err := fs.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if err = write(f); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fs.Rename(tmp, path)
+	}
+	if err != nil {
+		return errors.Join(err, fs.Remove(tmp))
+	}
+	return fs.SyncDir(filepath.Dir(path))
+}
+
 // SeqWriter adapts a File to io.Writer for sequential appenders (bufio
 // over an append-only file). Off is advanced by each write.
 type SeqWriter struct {
@@ -190,15 +220,6 @@ func (w *SeqWriter) Write(p []byte) (int, error) {
 	n, err := w.F.WriteAt(p, w.Off)
 	w.Off += int64(n)
 	return n, err
-}
-
-// NewReader returns a sequential reader over the file's current contents.
-func NewReader(f File) (*io.SectionReader, error) {
-	size, err := f.Size()
-	if err != nil {
-		return nil, fmt.Errorf("vfs: size of %s: %w", f.Name(), err)
-	}
-	return io.NewSectionReader(f, 0, size), nil
 }
 
 // dirOf groups in-memory namespace entries the way SyncDir scopes them.

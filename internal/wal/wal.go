@@ -22,6 +22,20 @@ import (
 // recordHeaderSize is the per-record framing: length (4) + CRC32 (4).
 const recordHeaderSize = 8
 
+// AppendFrame appends payload to dst as one framed record and returns the
+// extended slice. The frame is
+//
+//	u32 LE payload length | u32 LE CRC-32 (IEEE) of the payload | payload
+//
+// and this is its only encoder: WAL records, snapshot records and
+// delta-chain records all go through it, and ScanFrames is the only
+// decoder.
+func AppendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
+}
+
 // ErrCorrupt marks records that fail framing validation (truncated tail or
 // checksum mismatch), as opposed to I/O errors from the filesystem.
 var ErrCorrupt = errors.New("wal: corrupt record")
@@ -136,13 +150,8 @@ func (l *Log) Append(payload []byte) (int64, error) {
 	if l.failed != nil {
 		return 0, fmt.Errorf("wal: log failed: %w", l.failed)
 	}
-	if cap(l.writeBuf) < recordHeaderSize+len(payload) {
-		l.writeBuf = make([]byte, recordHeaderSize+len(payload))
-	}
-	buf := l.writeBuf[:recordHeaderSize+len(payload)]
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[recordHeaderSize:], payload)
+	buf := AppendFrame(l.writeBuf[:0], payload)
+	l.writeBuf = buf[:0]
 	off := l.size
 	if _, err := l.f.WriteAt(buf, off); err != nil {
 		l.failed = err
@@ -174,18 +183,14 @@ func (l *Log) AppendBatch(payloads [][]byte) ([]int64, error) {
 		total += recordHeaderSize + len(p)
 	}
 	if cap(l.writeBuf) < total {
-		l.writeBuf = make([]byte, total)
+		l.writeBuf = make([]byte, 0, total)
 	}
 	buf := l.writeBuf[:0]
 	offs := make([]int64, len(payloads))
 	off := l.size
 	for i, p := range payloads {
 		offs[i] = off + int64(len(buf))
-		var hdr [recordHeaderSize]byte
-		binary.LittleEndian.PutUint32(hdr[:4], uint32(len(p)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(p))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, p...)
+		buf = AppendFrame(buf, p)
 	}
 	if _, err := l.f.WriteAt(buf, off); err != nil {
 		l.failed = err
@@ -255,7 +260,7 @@ func (l *Log) Scan(from int64, fn func(off int64, payload []byte) bool) (int64, 
 	_, err := l.ScanBatch(from, 0, func(frames []Frame) bool {
 		for _, fr := range frames {
 			ok := fn(fr.Off, fr.Payload)
-			resume = fr.Off + recordHeaderSize + int64(len(fr.Payload))
+			resume = fr.End()
 			if !ok {
 				return false
 			}
@@ -265,7 +270,7 @@ func (l *Log) Scan(from int64, fn func(off int64, payload []byte) bool) (int64, 
 	return resume, err
 }
 
-// Frame is one log record surfaced by ScanBatch. Payload aliases the scan's
+// Frame is one record surfaced by ScanFrames. Payload aliases the scan's
 // readahead buffer and is valid only until the batch callback returns;
 // callers that hand frames to concurrent decode workers must copy it first.
 type Frame struct {
@@ -273,50 +278,70 @@ type Frame struct {
 	Payload []byte
 }
 
-// DefaultReadahead is the ScanBatch chunk size used when none is given.
+// End is the offset just past the frame.
+func (fr Frame) End() int64 { return fr.Off + recordHeaderSize + int64(len(fr.Payload)) }
+
+// DefaultReadahead is the ScanFrames chunk size used when none is given.
 const DefaultReadahead = 1 << 20
 
-// ScanBatch reads the log in large readahead chunks and invokes fn once per
-// chunk with every complete, CRC-verified record it contains, amortizing one
-// syscall over hundreds of records (replay is TimeStore's hottest read
-// path). A record that straddles a chunk boundary is re-read at the start
-// of the next chunk; a record larger than the readahead grows the buffer.
-// Scanning stops at the end of the log or when fn returns false; the return
-// value is the offset just past the last batch handed to fn.
+// maxBatchFrames caps the frames ScanFrames hands fn at once, so the
+// per-batch metadata stays a few KiB however small the records are, and a
+// caller checking cancellation per batch checks it every maxBatchFrames
+// records.
+const maxBatchFrames = 256
+
+// ScanBatch runs ScanFrames over the log's records from offset from to the
+// current end of the log.
 func (l *Log) ScanBatch(from int64, readahead int, fn func(frames []Frame) bool) (int64, error) {
 	l.mu.RLock()
 	end := l.size
 	l.mu.RUnlock()
+	return ScanFrames(l.f, from, end, readahead, fn)
+}
+
+// ScanFrames decodes the framed records in [from, end) of r, reading in
+// readahead-sized chunks and invoking fn with the complete, CRC-verified
+// records of each chunk in batches of at most maxBatchFrames, so one
+// syscall is amortized over hundreds of records (replay is TimeStore's
+// hottest read path). A record that straddles a chunk boundary is re-read
+// at the start of the next chunk; a record larger than the readahead
+// grows the buffer. A length field is trusted only once the record it
+// announces fits below end, so a corrupt length can never size an
+// allocation beyond the input. Scanning stops at end or when fn returns
+// false; the return value is the offset just past the last batch handed
+// to fn. A truncated or checksum-failing record yields an ErrCorrupt
+// error; the records before it are still delivered first, so a callback
+// that stops before the bad record never sees the error.
+func ScanFrames(r io.ReaderAt, from, end int64, readahead int, fn func(frames []Frame) bool) (int64, error) {
 	if from < 0 {
 		return from, fmt.Errorf("wal: offset %d out of range (size %d)", from, end)
 	}
 	if readahead < recordHeaderSize {
 		readahead = DefaultReadahead
 	}
+	if rest := end - from; rest < int64(readahead) {
+		readahead = int(max(rest, 0))
+	}
 	buf := make([]byte, readahead)
 	var frames []Frame
 	off := from
 	for off < end {
-		n := int64(len(buf))
-		if n > end-off {
-			n = end - off
-		}
-		chunk := buf[:n]
-		if _, err := l.f.ReadAt(chunk, off); err != nil {
+		chunk := buf[:min(int64(len(buf)), end-off)]
+		if _, err := r.ReadAt(chunk, off); err != nil {
 			return off, fmt.Errorf("wal: readahead at %d: %w", off, err)
 		}
 		frames = frames[:0]
 		pos := 0
 		var parseErr error
 		for pos+recordHeaderSize <= len(chunk) {
-			plen := int(binary.LittleEndian.Uint32(chunk[pos:]))
+			plen := int64(binary.LittleEndian.Uint32(chunk[pos:]))
 			sum := binary.LittleEndian.Uint32(chunk[pos+4:])
-			recEnd := pos + recordHeaderSize + plen
-			if off+int64(recEnd) > end {
+			recEnd := int64(pos) + recordHeaderSize + plen
+			if off+recEnd > end {
 				parseErr = fmt.Errorf("%w: truncated record at %d", ErrCorrupt, off+int64(pos))
 				break
 			}
-			if recEnd > len(chunk) {
+			if recEnd > int64(len(chunk)) {
 				break // straddles the chunk boundary; next chunk restarts here
 			}
 			payload := chunk[pos+recordHeaderSize : recEnd]
@@ -325,21 +350,24 @@ func (l *Log) ScanBatch(from int64, readahead int, fn func(frames []Frame) bool)
 				break
 			}
 			frames = append(frames, Frame{Off: off + int64(pos), Payload: payload})
-			pos = recEnd
+			pos = int(recEnd)
+			if len(frames) == maxBatchFrames {
+				if !fn(frames) {
+					return off + int64(pos), nil
+				}
+				frames = frames[:0]
+			}
 		}
 		if pos == 0 && parseErr == nil {
 			if len(chunk) < recordHeaderSize {
 				// A tail fragment smaller than a record header: torn write.
 				return off, fmt.Errorf("%w: truncated record at %d", ErrCorrupt, off)
 			}
-			// A single record larger than the buffer: grow to fit it.
-			plen := int(binary.LittleEndian.Uint32(chunk))
-			buf = make([]byte, recordHeaderSize+plen)
+			// A single record larger than the buffer (and, checked above,
+			// within end): grow to fit it.
+			buf = make([]byte, recordHeaderSize+int(binary.LittleEndian.Uint32(chunk)))
 			continue
 		}
-		// Records parsed before a mid-chunk corruption are still delivered,
-		// so a callback that stops before the bad record never sees the
-		// error — the same behaviour as the record-at-a-time Scan.
 		if len(frames) > 0 && !fn(frames) {
 			return off + int64(pos), nil
 		}
