@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "aion-quickstart-*")
 	if err != nil {
 		log.Fatal(err)
@@ -33,7 +35,7 @@ func main() {
 	engine := cypher.NewEngine(sys)
 
 	must := func(q string) *cypher.Result {
-		res, err := engine.Query(q, nil)
+		res, err := engine.QueryContext(ctx, q, nil)
 		if err != nil {
 			log.Fatalf("%s: %v", q, err)
 		}
@@ -63,7 +65,7 @@ func main() {
 	fmt.Println("ada versions:", len(res.Rows))
 
 	// The same through the Table 1 Go API.
-	versions, err := sys.Aion.GetNode(0, 0, model.TSInfinity)
+	versions, err := sys.Aion.GetNodeContext(ctx, 0, 0, model.TSInfinity)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,14 +75,14 @@ func main() {
 	}
 
 	// Full snapshot reconstruction via the TimeStore.
-	g, err := sys.Aion.GraphAt(2)
+	g, err := sys.Aion.GraphAtContext(ctx, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("snapshot at ts 2: %d nodes, %d rels\n", g.NodeCount(), g.RelCount())
 
 	// The diff between two time points (drives incremental algorithms).
-	diff, err := sys.Aion.GetDiff(2, 4)
+	diff, err := sys.Aion.GetDiffContext(ctx, 2, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,6 +21,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A scaled-down Pokec-like social network with weighted interactions.
 	spec := datagen.MustPreset("Pokec", 2000)
 	ds := datagen.Generate(spec, datagen.Options{Seed: 7, RelWeightProp: "w"})
@@ -46,7 +48,7 @@ func main() {
 	}
 
 	// Seed the incremental state from the snapshot at the window start.
-	g, err := db.GraphAt(start)
+	g, err := db.GraphAtContext(ctx, start)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +74,7 @@ func main() {
 	prev := start
 	for ts := start + step; ts <= ds.MaxTS; ts += step {
 		// Incremental: fetch only the diff and fold it into the state.
-		diff, err := db.GetDiff(prev+1, ts+1)
+		diff, err := db.GetDiffContext(ctx, prev+1, ts+1)
 		if err != nil {
 			log.Fatal(err)
 		}

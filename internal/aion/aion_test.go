@@ -1,6 +1,7 @@
 package aion
 
 import (
+	"context"
 	"testing"
 
 	"aion/internal/model"
@@ -44,6 +45,7 @@ func socialUpdates() []model.Update {
 }
 
 func TestHybridEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	db := openDB(t, Options{})
 	if err := db.ApplyBatch(socialUpdates()); err != nil {
 		t.Fatal(err)
@@ -52,23 +54,23 @@ func TestHybridEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Point query via LineageStore.
-	ns, err := db.GetNode(0, 15, 15)
+	ns, err := db.GetNodeContext(ctx, 0, 15, 15)
 	if err != nil || len(ns) != 1 {
 		t.Fatalf("GetNode: %v %v", ns, err)
 	}
 	if ns[0].HasLabel("VIP") {
 		t.Error("VIP label must not be visible at ts 15")
 	}
-	ns, _ = db.GetNode(0, 21, 21)
+	ns, _ = db.GetNodeContext(ctx, 0, 21, 21)
 	if len(ns) != 1 || !ns[0].HasLabel("VIP") {
 		t.Error("VIP label must be visible at ts 21")
 	}
 	// Rels and their deletion.
-	rels, _ := db.GetRelationships(5, model.Outgoing, 21, 21)
+	rels, _ := db.GetRelationshipsContext(ctx, 5, model.Outgoing, 21, 21)
 	if len(rels) != 1 {
 		t.Errorf("node 5 out-rels at 21: %d", len(rels))
 	}
-	rels, _ = db.GetRelationships(5, model.Outgoing, 22, 22)
+	rels, _ = db.GetRelationshipsContext(ctx, 5, model.Outgoing, 22, 22)
 	if len(rels) != 0 {
 		t.Errorf("node 5 out-rels at 22: %d", len(rels))
 	}
@@ -80,37 +82,38 @@ func TestHybridEndToEnd(t *testing.T) {
 }
 
 func TestGlobalQueries(t *testing.T) {
+	ctx := context.Background()
 	db := openDB(t, Options{SnapshotEveryOps: 8})
 	if err := db.ApplyBatch(socialUpdates()); err != nil {
 		t.Fatal(err)
 	}
-	g, err := db.GraphAt(20)
+	g, err := db.GraphAtContext(ctx, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.NodeCount() != 10 || g.RelCount() != 10 {
 		t.Errorf("graph at 20: %d/%d", g.NodeCount(), g.RelCount())
 	}
-	g, _ = db.GraphAt(22)
+	g, _ = db.GraphAtContext(ctx, 22)
 	if g.RelCount() != 9 {
 		t.Errorf("graph at 22 rels = %d", g.RelCount())
 	}
-	series, err := db.GetGraph(5, 20, 5)
+	series, err := db.GetGraphContext(ctx, 5, 20, 5)
 	if err != nil || len(series) != 4 {
 		t.Fatalf("series: %d %v", len(series), err)
 	}
-	diff, _ := db.GetDiff(11, 21)
+	diff, _ := db.GetDiffContext(ctx, 11, 21)
 	if len(diff) != 10 {
 		t.Errorf("diff [11,21) = %d", len(diff))
 	}
-	tg, err := db.GetTemporalGraph(1, 23)
+	tg, err := db.GetTemporalGraphContext(ctx, 1, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tg.RelAt(5, 21) == nil || tg.RelAt(5, 22) != nil {
 		t.Error("temporal graph rel 5 lifetime")
 	}
-	win, err := db.GetWindow(15, 23)
+	win, err := db.GetWindowContext(ctx, 15, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +123,7 @@ func TestGlobalQueries(t *testing.T) {
 }
 
 func TestPlannerHeuristic(t *testing.T) {
+	ctx := context.Background()
 	db := openDB(t, Options{})
 	if err := db.ApplyBatch(socialUpdates()); err != nil {
 		t.Fatal(err)
@@ -134,11 +138,11 @@ func TestPlannerHeuristic(t *testing.T) {
 		t.Errorf("8-hop plan = %v", c)
 	}
 	// Both paths return the same frontier.
-	viaLS, err := db.LineageStore().Expand(0, model.Outgoing, 3, 20)
+	viaLS, err := db.LineageStore().ExpandContext(ctx, 0, model.Outgoing, 3, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaTS, err := db.ExpandViaTimeStore(0, model.Outgoing, 3, 20)
+	viaTS, err := db.ExpandViaTimeStoreContext(ctx, 0, model.Outgoing, 3, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +158,7 @@ func TestExpandPicksStoreAndAgrees(t *testing.T) {
 	db := openDB(t, Options{})
 	db.ApplyBatch(socialUpdates())
 	db.WaitSync()
-	res, err := db.Expand(0, model.Both, 2, 20)
+	res, err := db.ExpandContext(context.Background(), 0, model.Both, 2, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,16 +171,16 @@ func TestExpandPicksStoreAndAgrees(t *testing.T) {
 func TestLineageLagFallback(t *testing.T) {
 	// In hybrid mode with the cascade not yet drained, queries must fall
 	// back to the TimeStore and still return correct answers.
-	db := openDB(t, Options{AsyncQueueDepth: 4096})
+	db := openDB(t, Options{})
 	us := socialUpdates()
 	// Apply updates one by one without waiting.
 	for _, u := range us {
-		if err := db.Apply(u); err != nil {
+		if err := db.ApplyBatch([]model.Update{u}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Immediately query; whichever store answers must be right.
-	ns, err := db.GetNode(0, 21, 21)
+	ns, err := db.GetNodeContext(context.Background(), 0, 21, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,6 +194,7 @@ func TestLineageLagFallback(t *testing.T) {
 }
 
 func TestSyncModes(t *testing.T) {
+	ctx := context.Background()
 	for _, mode := range []SyncMode{SyncBoth, SyncTimeStoreOnly, SyncLineageOnly} {
 		t.Run(mode.String(), func(t *testing.T) {
 			db := openDB(t, Options{Mode: mode})
@@ -197,18 +202,18 @@ func TestSyncModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			if mode != SyncTimeStoreOnly {
-				ns, err := db.LineageStore().GetNode(0, 21, 21)
+				ns, err := db.LineageStore().GetNodeContext(ctx, 0, 21, 21)
 				if err != nil || len(ns) != 1 {
 					t.Errorf("lineage query: %v %v", ns, err)
 				}
 			}
 			if mode != SyncLineageOnly {
-				g, err := db.GraphAt(22)
+				g, err := db.GraphAtContext(ctx, 22)
 				if err != nil || g.NodeCount() != 10 {
 					t.Errorf("timestore query: %v", err)
 				}
 			} else {
-				if _, err := db.GraphAt(22); err != ErrNoStore {
+				if _, err := db.GraphAtContext(ctx, 22); err != ErrNoStore {
 					t.Errorf("lineage-only global query must fail with ErrNoStore, got %v", err)
 				}
 			}
@@ -273,6 +278,7 @@ func TestDiskBytesReported(t *testing.T) {
 }
 
 func TestPersistenceAcrossReopen(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	db, err := Open(Options{Dir: dir})
 	if err != nil {
@@ -296,11 +302,11 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if db2.LatestTimestamp() != 22 {
 		t.Errorf("reopened latest ts = %d", db2.LatestTimestamp())
 	}
-	g, err := db2.GraphAt(22)
+	g, err := db2.GraphAtContext(ctx, 22)
 	if err != nil || g.NodeCount() != 10 || g.RelCount() != 9 {
 		t.Errorf("reopened graph: %v", err)
 	}
-	ns, err := db2.GetNode(0, 21, 21)
+	ns, err := db2.GetNodeContext(ctx, 0, 21, 21)
 	if err != nil || len(ns) != 1 || !ns[0].HasLabel("VIP") {
 		t.Errorf("reopened point query: %v %v", ns, err)
 	}

@@ -17,11 +17,7 @@ var ErrNoStore = errors.New("aion: required temporal store not configured")
 // the API-level result-assembly loops; the stores bound their own scans.
 const cancelStride = 1024
 
-// The read API comes in pairs following the database/sql convention:
-// Xxx(...) is shorthand for XxxContext(context.Background(), ...), and the
-// Context variant observes cancellation cooperatively through both stores —
-// the TimeStore's snapshot-load/log-replay pipelines and the LineageStore's
-// B+Tree range scans all stop within a bounded stride of the context firing.
+// Every read takes a ctx first and returns ctx.Err() shortly after it fires.
 
 // StoreChoice identifies which temporal store the planner picked.
 type StoreChoice int
@@ -59,12 +55,8 @@ func (db *DB) lineageAvailable(ts model.Timestamp) bool {
 	return db.ls.AppliedThrough() >= ts
 }
 
-// GetNode returns a node's history between the given timestamps (Table 1).
-func (db *DB) GetNode(id model.NodeID, start, end model.Timestamp) ([]*model.Node, error) {
-	return db.GetNodeContext(context.Background(), id, start, end)
-}
-
-// GetNodeContext is GetNode honouring ctx cancellation.
+// GetNodeContext returns a node's history between the given timestamps
+// (Table 1).
 func (db *DB) GetNodeContext(ctx context.Context, id model.NodeID, start, end model.Timestamp) ([]*model.Node, error) {
 	if db.lineageAvailable(end) {
 		db.decided.lineage.Add(1)
@@ -95,13 +87,8 @@ func (db *DB) tsGetNode(ctx context.Context, id model.NodeID, start, end model.T
 	return tg.NodeHistory(id, start, end), nil
 }
 
-// GetRelationship returns a relationship's history between the given
-// timestamps (Table 1).
-func (db *DB) GetRelationship(id model.RelID, start, end model.Timestamp) ([]*model.Rel, error) {
-	return db.GetRelationshipContext(context.Background(), id, start, end)
-}
-
-// GetRelationshipContext is GetRelationship honouring ctx cancellation.
+// GetRelationshipContext returns a relationship's history between the
+// given timestamps (Table 1).
 func (db *DB) GetRelationshipContext(ctx context.Context, id model.RelID, start, end model.Timestamp) ([]*model.Rel, error) {
 	if db.lineageAvailable(end) {
 		db.decided.lineage.Add(1)
@@ -132,12 +119,8 @@ func (db *DB) tsGetRelationship(ctx context.Context, id model.RelID, start, end 
 	return tg.RelHistory(id, start, end), nil
 }
 
-// GetRelationships returns a node's (in/out) relationship history (Table 1).
-func (db *DB) GetRelationships(id model.NodeID, d model.Direction, start, end model.Timestamp) ([][]*model.Rel, error) {
-	return db.GetRelationshipsContext(context.Background(), id, d, start, end)
-}
-
-// GetRelationshipsContext is GetRelationships honouring ctx cancellation.
+// GetRelationshipsContext returns a node's (in/out) relationship history
+// (Table 1).
 func (db *DB) GetRelationshipsContext(ctx context.Context, id model.NodeID, d model.Direction, start, end model.Timestamp) ([][]*model.Rel, error) {
 	if db.lineageAvailable(end) {
 		db.decided.lineage.Add(1)
@@ -228,14 +211,9 @@ func (db *DB) PlanExpand(hops int, d model.Direction, ts model.Timestamp) StoreC
 	return ChoseTimeStore
 }
 
-// Expand returns the n-hop neighbourhood of a node at time ts (Table 1,
-// Alg 1), one slice per hop. The planner picks the store by estimated
-// cardinality.
-func (db *DB) Expand(id model.NodeID, d model.Direction, hops int, ts model.Timestamp) ([][]*model.Node, error) {
-	return db.ExpandContext(context.Background(), id, d, hops, ts)
-}
-
-// ExpandContext is Expand honouring ctx cancellation.
+// ExpandContext returns the n-hop neighbourhood of a node at time ts
+// (Table 1, Alg 1), one slice per hop. The planner picks the store by
+// estimated cardinality.
 func (db *DB) ExpandContext(ctx context.Context, id model.NodeID, d model.Direction, hops int, ts model.Timestamp) ([][]*model.Node, error) {
 	switch db.PlanExpand(hops, d, ts) {
 	case ChoseLineage:
@@ -243,18 +221,14 @@ func (db *DB) ExpandContext(ctx context.Context, id model.NodeID, d model.Direct
 		return db.ls.ExpandContext(ctx, id, d, hops, ts)
 	default:
 		db.decided.time.Add(1)
-		return db.expandViaTimeStore(ctx, id, d, hops, ts)
+		return db.ExpandViaTimeStoreContext(ctx, id, d, hops, ts)
 	}
 }
 
-// ExpandViaTimeStore materializes a full snapshot and walks it — the
-// TimeStore expansion path whose cost is dominated by graph retrieval
+// ExpandViaTimeStoreContext materializes a full snapshot and walks it —
+// the TimeStore expansion path whose cost is dominated by graph retrieval
 // (Sec 4.3). Exported for the Fig 8 store comparison.
-func (db *DB) ExpandViaTimeStore(id model.NodeID, d model.Direction, hops int, ts model.Timestamp) ([][]*model.Node, error) {
-	return db.expandViaTimeStore(context.Background(), id, d, hops, ts)
-}
-
-func (db *DB) expandViaTimeStore(ctx context.Context, id model.NodeID, d model.Direction, hops int, ts model.Timestamp) ([][]*model.Node, error) {
+func (db *DB) ExpandViaTimeStoreContext(ctx context.Context, id model.NodeID, d model.Direction, hops int, ts model.Timestamp) ([][]*model.Node, error) {
 	if db.ts == nil {
 		return nil, ErrNoStore
 	}
@@ -293,15 +267,10 @@ func ExpandInGraph(g *memgraph.Graph, id model.NodeID, d model.Direction, hops i
 	return result
 }
 
-// ExpandRange runs the n-hop expansion at each materialization step in
-// [start, end] (the full Table 1 expand signature with start, end, and
-// step): one [][]*model.Node result per step time.
-func (db *DB) ExpandRange(id model.NodeID, d model.Direction, hops int, start, end, step model.Timestamp) ([][][]*model.Node, error) {
-	return db.ExpandRangeContext(context.Background(), id, d, hops, start, end, step)
-}
-
-// ExpandRangeContext is ExpandRange honouring ctx cancellation, checked
-// before each step's expansion.
+// ExpandRangeContext runs the n-hop expansion at each materialization step
+// in [start, end] (the full Table 1 expand signature with start, end, and
+// step): one [][]*model.Node result per step time. ctx is checked before
+// each step's expansion.
 func (db *DB) ExpandRangeContext(ctx context.Context, id model.NodeID, d model.Direction, hops int, start, end, step model.Timestamp) ([][][]*model.Node, error) {
 	if step <= 0 {
 		return nil, fmt.Errorf("aion: step must be positive")
@@ -323,13 +292,8 @@ func (db *DB) ExpandRangeContext(ctx context.Context, id model.NodeID, d model.D
 	return out, nil
 }
 
-// ScanGraphs lazily materializes the snapshot series (footnote 4's lazy
-// variant of getGraph); fn must clone a snapshot to retain it.
-func (db *DB) ScanGraphs(start, end, step model.Timestamp, fn func(g *memgraph.Graph) bool) error {
-	return db.ScanGraphsContext(context.Background(), start, end, step, fn)
-}
-
-// ScanGraphsContext is ScanGraphs honouring ctx cancellation.
+// ScanGraphsContext lazily materializes the snapshot series (footnote 4's
+// lazy variant of getGraph); fn must clone a snapshot to retain it.
 func (db *DB) ScanGraphsContext(ctx context.Context, start, end, step model.Timestamp, fn func(g *memgraph.Graph) bool) error {
 	if db.ts == nil {
 		return ErrNoStore
@@ -337,13 +301,8 @@ func (db *DB) ScanGraphsContext(ctx context.Context, start, end, step model.Time
 	return db.ts.ScanGraphsContext(ctx, start, end, step, fn)
 }
 
-// GetDiff returns all graph updates between two time instances (Table 1),
-// enabling incremental execution.
-func (db *DB) GetDiff(start, end model.Timestamp) ([]model.Update, error) {
-	return db.GetDiffContext(context.Background(), start, end)
-}
-
-// GetDiffContext is GetDiff honouring ctx cancellation.
+// GetDiffContext returns all graph updates between two time instances
+// (Table 1), enabling incremental execution.
 func (db *DB) GetDiffContext(ctx context.Context, start, end model.Timestamp) ([]model.Update, error) {
 	if db.ts == nil {
 		return nil, ErrNoStore
@@ -351,12 +310,7 @@ func (db *DB) GetDiffContext(ctx context.Context, start, end model.Timestamp) ([
 	return db.ts.GetDiffContext(ctx, start, end)
 }
 
-// GraphAt materializes the LPG snapshot at ts.
-func (db *DB) GraphAt(ts model.Timestamp) (*memgraph.Graph, error) {
-	return db.GraphAtContext(context.Background(), ts)
-}
-
-// GraphAtContext is GraphAt honouring ctx cancellation.
+// GraphAtContext materializes the LPG snapshot at ts.
 func (db *DB) GraphAtContext(ctx context.Context, ts model.Timestamp) (*memgraph.Graph, error) {
 	if db.ts == nil {
 		return nil, ErrNoStore
@@ -364,13 +318,8 @@ func (db *DB) GraphAtContext(ctx context.Context, ts model.Timestamp) (*memgraph
 	return db.ts.GetGraphContext(ctx, ts)
 }
 
-// GetGraph returns the history of the graph between two timestamps as a
-// series of snapshots, one per step (Table 1).
-func (db *DB) GetGraph(start, end, step model.Timestamp) ([]*memgraph.Graph, error) {
-	return db.GetGraphContext(context.Background(), start, end, step)
-}
-
-// GetGraphContext is GetGraph honouring ctx cancellation.
+// GetGraphContext returns the history of the graph between two timestamps
+// as a series of snapshots, one per step (Table 1).
 func (db *DB) GetGraphContext(ctx context.Context, start, end, step model.Timestamp) ([]*memgraph.Graph, error) {
 	if db.ts == nil {
 		return nil, ErrNoStore
@@ -385,12 +334,7 @@ func (db *DB) GetGraphContext(ctx context.Context, start, end, step model.Timest
 	return db.ts.GetGraphsContext(ctx, start, end, step)
 }
 
-// GetWindow filters graph history by a time window (Table 1).
-func (db *DB) GetWindow(start, end model.Timestamp) (*memgraph.Graph, error) {
-	return db.GetWindowContext(context.Background(), start, end)
-}
-
-// GetWindowContext is GetWindow honouring ctx cancellation.
+// GetWindowContext filters graph history by a time window (Table 1).
 func (db *DB) GetWindowContext(ctx context.Context, start, end model.Timestamp) (*memgraph.Graph, error) {
 	if db.ts == nil {
 		return nil, ErrNoStore
@@ -398,12 +342,8 @@ func (db *DB) GetWindowContext(ctx context.Context, start, end model.Timestamp) 
 	return db.ts.GetWindowContext(ctx, start, end)
 }
 
-// GetTemporalGraph creates a temporal graph over [start, end) (Table 1).
-func (db *DB) GetTemporalGraph(start, end model.Timestamp) (*memgraph.TGraph, error) {
-	return db.GetTemporalGraphContext(context.Background(), start, end)
-}
-
-// GetTemporalGraphContext is GetTemporalGraph honouring ctx cancellation.
+// GetTemporalGraphContext creates a temporal graph over [start, end) (Table
+// 1).
 func (db *DB) GetTemporalGraphContext(ctx context.Context, start, end model.Timestamp) (*memgraph.TGraph, error) {
 	if db.ts == nil {
 		return nil, ErrNoStore

@@ -11,6 +11,7 @@
 package aion
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -84,8 +85,6 @@ type Options struct {
 	DeltaChainLength int
 	// GraphStoreBytes is the snapshot cache budget.
 	GraphStoreBytes int64
-	// AsyncQueueDepth bounds the background cascade queue (batches).
-	AsyncQueueDepth int
 	// ParallelIO bounds the TimeStore's snapshot (de)serialization and
 	// replay pipeline workers (<= 0: GOMAXPROCS; 1: fully sequential).
 	ParallelIO int
@@ -126,9 +125,6 @@ func Open(opts Options) (*DB, error) {
 			}
 			opts.Dir = dir
 		}
-	}
-	if opts.AsyncQueueDepth <= 0 {
-		opts.AsyncQueueDepth = 1024
 	}
 	fs := vfs.OrOS(opts.FS)
 	for _, sub := range []string{"timestore", "lineage"} {
@@ -183,7 +179,7 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	if opts.Mode == SyncHybrid {
-		db.queue = make(chan cascadeItem, opts.AsyncQueueDepth)
+		db.queue = make(chan cascadeItem, cascadeQueueDepth)
 		db.wg.Add(1)
 		go db.cascadeWorker()
 	}
@@ -219,7 +215,7 @@ func (db *DB) rebuildLineage() error {
 		return err
 	}
 	var aerr error
-	err := db.ts.ScanDiff(0, db.ts.LatestTimestamp()+1, func(u model.Update) bool {
+	err := db.ts.ScanDiffContext(context.Background(), 0, db.ts.LatestTimestamp()+1, func(u model.Update) bool {
 		batch = append(batch, u)
 		if len(batch) == cap(batch) {
 			if aerr = flush(); aerr != nil {
@@ -263,6 +259,9 @@ type cascadeItem struct {
 	done  chan struct{}
 }
 
+// cascadeQueueDepth bounds the background cascade queue (batches).
+const cascadeQueueDepth = 1024
+
 // cascadeWorker applies queued update batches to the LineageStore in the
 // background (stage 2 of Sec 5.1).
 func (db *DB) cascadeWorker() {
@@ -286,9 +285,6 @@ func (db *DB) Err() error {
 	}
 	return nil
 }
-
-// Apply ingests one committed graph update.
-func (db *DB) Apply(u model.Update) error { return db.ApplyBatch([]model.Update{u}) }
 
 // ApplyBatch ingests a batch of committed updates (one transaction or an
 // ingestion batch). Per Sec 5.1 only the TimeStore is written on the

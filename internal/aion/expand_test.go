@@ -1,6 +1,7 @@
 package aion
 
 import (
+	"context"
 	"testing"
 
 	"aion/internal/memgraph"
@@ -8,6 +9,7 @@ import (
 )
 
 func TestExpandRange(t *testing.T) {
+	ctx := context.Background()
 	db := openDB(t, Options{})
 	// Line graph built over time: 0->1 at ts 3, 1->2 at ts 4.
 	db.ApplyBatch([]model.Update{
@@ -18,7 +20,7 @@ func TestExpandRange(t *testing.T) {
 		model.AddRel(4, 1, 1, 2, "R", nil),
 	})
 	db.WaitSync()
-	series, err := db.ExpandRange(0, model.Outgoing, 2, 2, 4, 1)
+	series, err := db.ExpandRangeContext(ctx, 0, model.Outgoing, 2, 2, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,10 +37,10 @@ func TestExpandRange(t *testing.T) {
 	if len(series[2][0]) != 1 || len(series[2][1]) != 1 {
 		t.Errorf("ts 4 = %d/%d", len(series[2][0]), len(series[2][1]))
 	}
-	if _, err := db.ExpandRange(0, model.Outgoing, 2, 2, 4, 0); err == nil {
+	if _, err := db.ExpandRangeContext(ctx, 0, model.Outgoing, 2, 2, 4, 0); err == nil {
 		t.Error("zero step must fail")
 	}
-	if _, err := db.ExpandRange(0, model.Outgoing, 2, 4, 2, 1); err == nil {
+	if _, err := db.ExpandRangeContext(ctx, 0, model.Outgoing, 2, 4, 2, 1); err == nil {
 		t.Error("inverted range must fail")
 	}
 }
@@ -47,7 +49,7 @@ func TestScanGraphsThroughDB(t *testing.T) {
 	db := openDB(t, Options{})
 	db.ApplyBatch(socialUpdates())
 	n := 0
-	err := db.ScanGraphs(1, 10, 1, func(g *memgraph.Graph) bool {
+	err := db.ScanGraphsContext(context.Background(), 1, 10, 1, func(g *memgraph.Graph) bool {
 		if g.NodeCount() != n+1 {
 			t.Errorf("snapshot %d has %d nodes", n, g.NodeCount())
 		}

@@ -58,11 +58,12 @@ func evolvedDB(t *testing.T, mode SyncMode) *DB {
 // requires identical entity states (the Sec 5.1 guarantee: the fallback may
 // be slower, never wrong).
 func TestFallbackPathsAgreeWithLineage(t *testing.T) {
+	ctx := context.Background()
 	db := evolvedDB(t, SyncBoth)
 	maxTS := db.LatestTimestamp()
 	for probe := model.Timestamp(1); probe <= maxTS; probe += 7 {
 		for id := model.NodeID(0); id < 12; id++ {
-			viaLS, err := db.LineageStore().GetNode(id, probe, probe)
+			viaLS, err := db.LineageStore().GetNodeContext(ctx, id, probe, probe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,11 +80,11 @@ func TestFallbackPathsAgreeWithLineage(t *testing.T) {
 					probe, id, viaLS[0].Props, viaTS[0].Props)
 			}
 			// Degrees via both stores.
-			relsLS, err := db.LineageStore().GetRelationships(id, model.Outgoing, probe, probe)
+			relsLS, err := db.LineageStore().GetRelationshipsContext(ctx, id, model.Outgoing, probe, probe)
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, err := db.GraphAt(probe)
+			g, err := db.GraphAtContext(ctx, probe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,10 +99,11 @@ func TestFallbackPathsAgreeWithLineage(t *testing.T) {
 // TestHistoryFallbackAgrees compares entity history ranges across both
 // implementations.
 func TestHistoryFallbackAgrees(t *testing.T) {
+	ctx := context.Background()
 	db := evolvedDB(t, SyncBoth)
 	maxTS := db.LatestTimestamp()
 	for id := model.NodeID(0); id < 12; id += 3 {
-		viaLS, err := db.LineageStore().GetNode(id, 1, maxTS)
+		viaLS, err := db.LineageStore().GetNodeContext(ctx, id, 1, maxTS)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,14 +117,14 @@ func TestHistoryFallbackAgrees(t *testing.T) {
 		}
 	}
 	// Relationship history for every rel that ever existed.
-	diff, _ := db.GetDiff(0, model.TSInfinity)
+	diff, _ := db.GetDiffContext(ctx, 0, model.TSInfinity)
 	seen := map[model.RelID]bool{}
 	for _, u := range diff {
 		if u.Kind != model.OpAddRel || seen[u.RelID] {
 			continue
 		}
 		seen[u.RelID] = true
-		viaLS, err := db.LineageStore().GetRelationship(u.RelID, 1, maxTS)
+		viaLS, err := db.LineageStore().GetRelationshipContext(ctx, u.RelID, 1, maxTS)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,18 +142,18 @@ func TestHistoryFallbackAgrees(t *testing.T) {
 // TestHybridLagServesFromTimeStore forces the hybrid cascade to lag (by not
 // waiting) and checks queries still answer correctly during the lag.
 func TestHybridLagServesFromTimeStore(t *testing.T) {
-	db := openDB(t, Options{AsyncQueueDepth: 4096})
+	db := openDB(t, Options{})
 	var us []model.Update
 	for i := 0; i < 50; i++ {
 		us = append(us, model.AddNode(model.Timestamp(i+1), model.NodeID(i), nil,
 			model.Properties{"i": model.IntValue(int64(i))}))
 	}
 	for _, u := range us {
-		if err := db.Apply(u); err != nil {
+		if err := db.ApplyBatch([]model.Update{u}); err != nil {
 			t.Fatal(err)
 		}
 		// Query immediately at the newest timestamp; the cascade may lag.
-		ns, err := db.GetNode(u.NodeID, u.TS, u.TS)
+		ns, err := db.GetNodeContext(context.Background(), u.NodeID, u.TS, u.TS)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,24 +166,25 @@ func TestHybridLagServesFromTimeStore(t *testing.T) {
 
 // TestLineageOnlyGlobalQueriesFail covers the ErrNoStore paths.
 func TestLineageOnlyGlobalQueriesFail(t *testing.T) {
+	ctx := context.Background()
 	db := openDB(t, Options{Mode: SyncLineageOnly})
-	db.Apply(model.AddNode(1, 0, nil, nil))
-	if _, err := db.GetDiff(0, 10); err != ErrNoStore {
+	db.ApplyBatch([]model.Update{model.AddNode(1, 0, nil, nil)})
+	if _, err := db.GetDiffContext(ctx, 0, 10); err != ErrNoStore {
 		t.Errorf("GetDiff: %v", err)
 	}
-	if _, err := db.GetGraph(0, 10, 1); err != ErrNoStore {
+	if _, err := db.GetGraphContext(ctx, 0, 10, 1); err != ErrNoStore {
 		t.Errorf("GetGraph: %v", err)
 	}
-	if _, err := db.GetWindow(0, 10); err != ErrNoStore {
+	if _, err := db.GetWindowContext(ctx, 0, 10); err != ErrNoStore {
 		t.Errorf("GetWindow: %v", err)
 	}
-	if _, err := db.GetTemporalGraph(0, 10); err != ErrNoStore {
+	if _, err := db.GetTemporalGraphContext(ctx, 0, 10); err != ErrNoStore {
 		t.Errorf("GetTemporalGraph: %v", err)
 	}
-	if err := db.ScanGraphs(0, 10, 1, nil); err != ErrNoStore {
+	if err := db.ScanGraphsContext(ctx, 0, 10, 1, nil); err != ErrNoStore {
 		t.Errorf("ScanGraphs: %v", err)
 	}
-	if _, err := db.ExpandViaTimeStore(0, model.Outgoing, 1, 1); err != ErrNoStore {
+	if _, err := db.ExpandViaTimeStoreContext(ctx, 0, model.Outgoing, 1, 1); err != ErrNoStore {
 		t.Errorf("ExpandViaTimeStore: %v", err)
 	}
 }

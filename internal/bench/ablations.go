@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math/rand"
 
 	"aion/internal/datagen"
@@ -15,6 +16,7 @@ import (
 // policy (Sec 4.3 leaves the interval to a user-defined policy): fewer
 // snapshots save disk but lengthen the log replay that GetGraph performs.
 func RunSnapshotPolicyAblation(c Config) error {
+	ctx := context.Background()
 	c.Defaults()
 	ds := c.genDataset("DBLP", datagen.Options{})
 	t := &table{header: []string{"snapshot every", "#snapshots", "snapshot bytes", "avg GetGraph (ms)"}}
@@ -37,7 +39,7 @@ func RunSnapshotPolicyAblation(c Config) error {
 		queries := randTimestamps(rng, c.GlobalOps, ds.MaxTS)
 		dur := timeIt(func() {
 			for _, ts := range queries {
-				if _, err2 := st.GetGraph(ts); err2 != nil {
+				if _, err2 := st.GetGraphContext(ctx, ts); err2 != nil {
 					err = err2
 					return
 				}
@@ -59,6 +61,7 @@ func RunSnapshotPolicyAblation(c Config) error {
 // graph an expansion touches and which store answers faster — locating the
 // crossover that motivates the 30 % heuristic of Sec 5.1.
 func RunPlannerThresholdAblation(c Config) error {
+	ctx := context.Background()
 	c.Defaults()
 	name := c.Datasets[0]
 	ds := c.genDataset(name, datagen.Options{})
@@ -79,12 +82,12 @@ func RunPlannerThresholdAblation(c Config) error {
 		ls := db.LineageStore()
 		lsDur := timeIt(func() {
 			for _, s := range starts {
-				ls.Expand(s, model.Outgoing, hops, ds.MaxTS)
+				ls.ExpandContext(ctx, s, model.Outgoing, hops, ds.MaxTS)
 			}
 		})
 		tsDur := timeIt(func() {
 			for _, s := range starts {
-				db.ExpandViaTimeStore(s, model.Outgoing, hops, ds.MaxTS)
+				db.ExpandViaTimeStoreContext(ctx, s, model.Outgoing, hops, ds.MaxTS)
 			}
 		})
 		frac := db.Stats().EstimateExpandFraction(hops, model.Outgoing)
@@ -105,6 +108,7 @@ func RunPlannerThresholdAblation(c Config) error {
 // query pays the full read+CRC+decode+apply path that the pipeline
 // parallelizes.
 func RunParallelIOAblation(c Config) error {
+	ctx := context.Background()
 	c.Defaults()
 	ds := c.genDataset(c.Datasets[0], datagen.Options{})
 	levels := []int{1, 2, 4, pool.DefaultWorkers()}
@@ -129,7 +133,7 @@ func RunParallelIOAblation(c Config) error {
 		queries := randTimestamps(rng, c.GlobalOps, ds.MaxTS)
 		dur := timeIt(func() {
 			for _, ts := range queries {
-				if _, err2 := st.GetGraph(ts); err2 != nil {
+				if _, err2 := st.GetGraphContext(ctx, ts); err2 != nil {
 					err = err2
 					return
 				}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math/rand"
 
 	"aion/internal/datagen"
@@ -25,6 +26,7 @@ type Fig11Row struct {
 // receives 32 new properties at discrete times, then random point lookups
 // measure reconstruction throughput for thresholds {32, 16, 8, 4, 2, 1}.
 func RunFig11(c Config, dir func(string) string, thresholds []int, chainLen int) ([]Fig11Row, error) {
+	ctx := context.Background()
 	c.Defaults()
 	if len(thresholds) == 0 {
 		thresholds = []int{32, 16, 8, 4, 2, 1}
@@ -68,7 +70,7 @@ func RunFig11(c Config, dir func(string) string, thresholds []int, chainLen int)
 		// Warm the page cache so the measurement reflects steady state.
 		for i := 0; i < 500; i++ {
 			rid := ds.RelIDs[rng.Intn(len(ds.RelIDs))]
-			ls.GetRelationship(rid, ds.MaxTS, ds.MaxTS)
+			ls.GetRelationshipContext(ctx, rid, ds.MaxTS, ds.MaxTS)
 		}
 		ids := make([]model.RelID, ops)
 		tss := randTimestamps(rng, ops, ds.MaxTS)
@@ -77,7 +79,7 @@ func RunFig11(c Config, dir func(string) string, thresholds []int, chainLen int)
 		}
 		dur := timeIt(func() {
 			for i := range ids {
-				if _, err := ls.GetRelationship(ids[i], tss[i], tss[i]); err != nil {
+				if _, err := ls.GetRelationshipContext(ctx, ids[i], tss[i], tss[i]); err != nil {
 					panic(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -43,6 +44,7 @@ func loadSystems(c Config, name string, dir string) (*datagen.Dataset, *aion.DB,
 
 // RunFig6 regenerates Fig 6: fetching random relationships.
 func RunFig6(c Config, dir func(string) string) ([]Fig6Row, error) {
+	ctx := context.Background()
 	c.Defaults()
 	var rows []Fig6Row
 	t := &table{header: []string{"Dataset", "Aion (ops/s)", "Raphtory (ops/s)", "Raphtory loaded"}}
@@ -62,7 +64,7 @@ func RunFig6(c Config, dir func(string) string) ([]Fig6Row, error) {
 		ls := db.LineageStore()
 		aionDur := timeIt(func() {
 			for i := range ids {
-				if _, err := ls.GetRelationship(ids[i], tss[i], tss[i]); err != nil {
+				if _, err := ls.GetRelationshipContext(ctx, ids[i], tss[i], tss[i]); err != nil {
 					panic(err)
 				}
 			}
@@ -97,6 +99,7 @@ type Fig7Row struct {
 
 // RunFig7 regenerates Fig 7: fetching random snapshots (global queries).
 func RunFig7(c Config, dir func(string) string) ([]Fig7Row, error) {
+	ctx := context.Background()
 	c.Defaults()
 	var rows []Fig7Row
 	t := &table{header: []string{"Dataset", "Aion (s)", "Raphtory (s)", "Gradoop (s)", "Aion vs Raph", "Aion vs Gradoop"}}
@@ -112,7 +115,7 @@ func RunFig7(c Config, dir func(string) string) ([]Fig7Row, error) {
 		var aionDur, raphDur, gradDur time.Duration
 		aionDur = timeIt(func() {
 			for _, q := range tss {
-				if _, err := ts.GetGraph(q); err != nil {
+				if _, err := ts.GetGraphContext(ctx, q); err != nil {
 					panic(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -21,6 +22,7 @@ type Fig8Row struct {
 // RunFig8 regenerates Fig 8: n-hop graph accesses starting from random
 // nodes, hops in {1, 2, 4, 8}.
 func RunFig8(c Config, dir func(string) string, hopsList []int, queriesPerHop int) ([]Fig8Row, error) {
+	ctx := context.Background()
 	c.Defaults()
 	if len(hopsList) == 0 {
 		hopsList = []int{1, 2, 4, 8}
@@ -52,14 +54,14 @@ func RunFig8(c Config, dir func(string) string, hopsList []int, queriesPerHop in
 			ls := db.LineageStore()
 			lsDur := timeIt(func() {
 				for i := range starts {
-					if _, err := ls.Expand(starts[i], model.Outgoing, hops, tss[i]); err != nil {
+					if _, err := ls.ExpandContext(ctx, starts[i], model.Outgoing, hops, tss[i]); err != nil {
 						panic(err)
 					}
 				}
 			})
 			tsDur := timeIt(func() {
 				for i := range starts {
-					if _, err := db.ExpandViaTimeStore(starts[i], model.Outgoing, hops, tss[i]); err != nil {
+					if _, err := db.ExpandViaTimeStoreContext(ctx, starts[i], model.Outgoing, hops, tss[i]); err != nil {
 						panic(err)
 					}
 				}
@@ -85,6 +87,7 @@ func RunFig8(c Config, dir func(string) string, hopsList []int, queriesPerHop in
 // graph an n-hop query touches — the quantity behind the 30 % heuristic of
 // Sec 6.3.
 func EstimateHopCoverage(c Config, name string, hops int, samples int) (float64, error) {
+	ctx := context.Background()
 	c.Defaults()
 	ds := c.genDataset(name, datagen.Options{})
 	_ = ds
@@ -97,7 +100,7 @@ func EstimateHopCoverage(c Config, name string, hops int, samples int) (float64,
 	total := 0.0
 	for i := 0; i < samples; i++ {
 		start := model.NodeID(rng.Int63n(int64(ds.Spec.Nodes)))
-		res, err := db.ExpandViaTimeStore(start, model.Outgoing, hops, ds.MaxTS)
+		res, err := db.ExpandViaTimeStoreContext(ctx, start, model.Outgoing, hops, ds.MaxTS)
 		if err != nil {
 			return 0, err
 		}

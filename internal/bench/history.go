@@ -13,6 +13,7 @@ package bench
 // hitting a previously cached graph.
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -44,6 +45,7 @@ func historyConfigs(n int) []historyConfig {
 // RunHistory runs the history-depth experiment on the first configured
 // dataset and returns the printed table.
 func RunHistory(c Config, mkdir func(string) string) (*table, error) {
+	ctx := context.Background()
 	c.Defaults()
 	name := c.Datasets[0]
 	ds := c.genDataset(name, datagen.Options{})
@@ -90,7 +92,7 @@ func RunHistory(c Config, mkdir func(string) string) (*table, error) {
 					ts = 1
 				}
 				var gerr error
-				lats = append(lats, timeIt(func() { _, gerr = st.GetGraph(ts) }))
+				lats = append(lats, timeIt(func() { _, gerr = st.GetGraphContext(ctx, ts) }))
 				if gerr != nil {
 					st.Close()
 					return nil, gerr

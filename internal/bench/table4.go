@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -53,6 +54,7 @@ func churn(ds *datagen.Dataset, cycles int) []model.Update {
 // RunTable4 prints the Table 4 cost model and verifies it empirically:
 // point-query latency under 1x vs 3x per-entity history.
 func RunTable4(c Config, dir func(string) string) ([]Table4Row, error) {
+	ctx := context.Background()
 	c.Defaults()
 	name := c.Datasets[0]
 
@@ -83,7 +85,7 @@ func RunTable4(c Config, dir func(string) string) ([]Table4Row, error) {
 		}
 		aionT = timeIt(func() {
 			for i := range ids {
-				ls.GetRelationship(ids[i], tss[i], tss[i])
+				ls.GetRelationshipContext(ctx, ids[i], tss[i], tss[i])
 			}
 		}).Seconds()
 		raphT = timeIt(func() {

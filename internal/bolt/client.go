@@ -253,13 +253,13 @@ func (c *Client) send(payload []byte) error {
 	if c.conn == nil {
 		return net.ErrClosed
 	}
-	if err := writeFrame(c.w, payload); err != nil {
+	if err := WriteFrame(c.w, payload); err != nil {
 		return err
 	}
 	return c.w.Flush()
 }
 
-func (c *Client) recv() ([]byte, error) { return readFrame(c.r) }
+func (c *Client) recv() ([]byte, error) { return ReadFrame(c.r) }
 
 // Run executes a query and pulls all records, with no client-side deadline
 // (the server's default query timeout still applies).

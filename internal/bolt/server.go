@@ -406,7 +406,7 @@ func (s *Server) serve(conn net.Conn) {
 	w := bufio.NewWriterSize(conn, 1<<16)
 
 	send := func(payload []byte) error {
-		return writeFrame(w, payload)
+		return WriteFrame(w, payload)
 	}
 	flush := func() error {
 		if s.opts.WriteTimeout > 0 {
@@ -418,7 +418,7 @@ func (s *Server) serve(conn net.Conn) {
 		if s.opts.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		}
-		return readFrame(r)
+		return ReadFrame(r)
 	}
 	fail := func(code byte, msg string) error {
 		if err := send(appendFailure(code, msg)); err != nil {

@@ -159,8 +159,10 @@ const (
 // maxFrame bounds a single message frame (16 MiB).
 const maxFrame = 16 << 20
 
-// writeFrame sends one length-prefixed message.
-func writeFrame(w io.Writer, payload []byte) error {
+// WriteFrame sends one length-prefixed message. Exported for the
+// replication stream (internal/replica), which reuses Bolt's framing for
+// its log shipments.
+func WriteFrame(w io.Writer, payload []byte) error {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -170,16 +172,8 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// WriteFrame sends one length-prefixed message. Exported for the
-// replication stream (internal/replica), which reuses Bolt's framing for
-// its log shipments.
-func WriteFrame(w io.Writer, payload []byte) error { return writeFrame(w, payload) }
-
 // ReadFrame receives one length-prefixed message (see WriteFrame).
-func ReadFrame(r io.Reader) ([]byte, error) { return readFrame(r) }
-
-// readFrame receives one length-prefixed message.
-func readFrame(r io.Reader) ([]byte, error) {
+func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err

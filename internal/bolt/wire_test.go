@@ -74,23 +74,23 @@ func TestReadValRandomBytesNeverPanics(t *testing.T) {
 func TestFrameRoundTripAndLimits(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("frame body")
-	if err := writeFrame(&buf, payload); err != nil {
+	if err := WriteFrame(&buf, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFrame(&buf)
+	got, err := ReadFrame(&buf)
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("frame round trip: %q %v", got, err)
 	}
 	// Oversized frame header must be rejected without allocation.
 	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := readFrame(bytes.NewReader(huge)); err == nil {
+	if _, err := ReadFrame(bytes.NewReader(huge)); err == nil {
 		t.Error("oversized frame accepted")
 	}
 	// Truncated body.
 	var short bytes.Buffer
-	writeFrame(&short, payload)
+	WriteFrame(&short, payload)
 	trunc := short.Bytes()[:short.Len()-3]
-	if _, err := readFrame(bytes.NewReader(trunc)); err == nil {
+	if _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated frame accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"aion/internal/vfs"
 	"bytes"
 	"fmt"
 	"math/rand"
@@ -242,7 +243,7 @@ func TestFirst(t *testing.T) {
 func TestPersistenceAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "tree.db")
-	pc, err := pagecache.Open(path, 64)
+	pc, err := pagecache.OpenFS(vfs.OS, path, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pc2, err := pagecache.Open(path, 64)
+	pc2, err := pagecache.OpenFS(vfs.OS, path, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,12 +83,6 @@ func NewEngine(sys *system.System) *Engine {
 // Register adds a procedure.
 func (e *Engine) Register(name string, p Proc) { e.procs[name] = p }
 
-// Query parses and executes one statement. It is shorthand for
-// QueryContext(context.Background(), ...).
-func (e *Engine) Query(q string, params map[string]model.Value) (*Result, error) {
-	return e.QueryContext(context.Background(), q, params)
-}
-
 // QueryContext parses and executes one statement under ctx: pattern-match
 // loops, temporal store scans, and procedures all observe cancellation
 // cooperatively and return ctx.Err() shortly after the context fires.
@@ -98,12 +92,6 @@ func (e *Engine) QueryContext(c context.Context, q string, params map[string]mod
 		return nil, err
 	}
 	return e.ExecContext(c, st, params)
-}
-
-// Exec executes a parsed statement (shorthand for ExecContext with a
-// background context).
-func (e *Engine) Exec(st *Statement, params map[string]model.Value) (*Result, error) {
-	return e.ExecContext(context.Background(), st, params)
 }
 
 // IsWrite reports whether st mutates the graph (and must therefore hold a
@@ -118,9 +106,6 @@ func IsWrite(st *Statement) bool {
 	}
 	return false
 }
-
-// isWrite is the internal alias for IsWrite.
-func isWrite(st *Statement) bool { return IsWrite(st) }
 
 // isBlindCreate reports whether st only creates new entities (a bare CREATE
 // with no MATCH part): such statements allocate fresh ids and reference no
@@ -137,7 +122,7 @@ func (e *Engine) ExecContext(c context.Context, st *Statement, params map[string
 	if c == nil {
 		c = context.Background()
 	}
-	if isWrite(st) {
+	if IsWrite(st) {
 		if isBlindCreate(st) {
 			e.writeMu.RLock()
 			defer e.writeMu.RUnlock()

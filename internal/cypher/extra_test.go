@@ -1,6 +1,7 @@
 package cypher
 
 import (
+	"context"
 	"testing"
 
 	"aion/internal/model"
@@ -138,21 +139,22 @@ func TestSharedVarJoinAcrossPatterns(t *testing.T) {
 }
 
 func TestUnboundVariableErrors(t *testing.T) {
+	ctx := context.Background()
 	e := seed(t)
-	if _, err := e.Query(`MATCH (n) RETURN missing.prop`, nil); err == nil {
+	if _, err := e.QueryContext(ctx, `MATCH (n) RETURN missing.prop`, nil); err == nil {
 		t.Error("unbound property access must fail")
 	}
-	if _, err := e.Query(`MATCH (n) WHERE id(q) = 1 RETURN n`, nil); err == nil {
+	if _, err := e.QueryContext(ctx, `MATCH (n) WHERE id(q) = 1 RETURN n`, nil); err == nil {
 		t.Error("unbound id() must fail")
 	}
-	if _, err := e.Query(`MATCH (n) RETURN n.p LIMIT 2 `, nil); err != nil {
+	if _, err := e.QueryContext(ctx, `MATCH (n) RETURN n.p LIMIT 2 `, nil); err != nil {
 		t.Errorf("trailing space should parse: %v", err)
 	}
 }
 
 func TestMissingParamError(t *testing.T) {
 	e := seed(t)
-	if _, err := e.Query(`MATCH (n) WHERE n.name = $nope RETURN n`, nil); err == nil {
+	if _, err := e.QueryContext(context.Background(), `MATCH (n) WHERE n.name = $nope RETURN n`, nil); err == nil {
 		t.Error("missing parameter must fail")
 	}
 }

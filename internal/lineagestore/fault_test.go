@@ -1,6 +1,7 @@
 package lineagestore
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -16,7 +17,7 @@ func applyChain(t *testing.T, s *Store, n int) {
 	for i := 0; i < n; i++ {
 		u := model.AddNode(model.Timestamp(i+1), model.NodeID(i), []string{"N"},
 			model.Properties{"v": model.IntValue(int64(i))})
-		if err := s.Apply(u); err != nil {
+		if err := s.ApplyBatch([]model.Update{u}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,7 +58,7 @@ func TestOpenResetsTruncatedIndex(t *testing.T) {
 	}
 	// The reset store is fully usable: re-apply and query.
 	applyChain(t, s2, 64)
-	n, err := s2.GetNode(model.NodeID(7), 64, 65)
+	n, err := s2.GetNodeContext(context.Background(), model.NodeID(7), 64, 65)
 	if err != nil || len(n) == 0 {
 		t.Fatalf("GetNode after reset+reapply: %v %v", n, err)
 	}

@@ -183,14 +183,8 @@ func (s *Store) AppliedThrough() model.Timestamp {
 	return s.lastTS
 }
 
-// Apply indexes one committed update by its entity identifiers.
-func (s *Store) Apply(u model.Update) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applyLocked(u)
-}
-
-// ApplyBatch indexes a batch of updates under one lock acquisition.
+// ApplyBatch indexes a batch of committed updates by their entity
+// identifiers under one lock acquisition.
 func (s *Store) ApplyBatch(us []model.Update) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -261,7 +255,7 @@ func (s *Store) putVersion(tree *btree.Tree, key []byte, chainPos int, u model.U
 // putNodeDelta stores a node modification, materializing the full state
 // when the delta chain reaches the threshold.
 func (s *Store) putNodeDelta(u model.Update) error {
-	prevPos, n, err := s.reconstructNodeLocked(u.NodeID, u.TS)
+	prevPos, n, err := s.reconstructNode(u.NodeID, u.TS)
 	if err != nil {
 		return err
 	}
@@ -282,7 +276,7 @@ func (s *Store) putNodeDelta(u model.Update) error {
 // putRelDelta stores a relationship modification, materializing on
 // threshold like putNodeDelta.
 func (s *Store) putRelDelta(u model.Update) error {
-	prevPos, r, err := s.reconstructRelLocked(u.RelID, u.TS)
+	prevPos, r, err := s.reconstructRel(u.RelID, u.TS)
 	if err != nil {
 		return err
 	}

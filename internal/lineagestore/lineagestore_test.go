@@ -1,6 +1,7 @@
 package lineagestore
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/strstore"
+	"aion/internal/vfs"
 )
 
 func openStore(t *testing.T, opts Options) *Store {
@@ -24,24 +26,23 @@ func openStore(t *testing.T, opts Options) *Store {
 
 func apply(t *testing.T, s *Store, us ...model.Update) {
 	t.Helper()
-	for _, u := range us {
-		if err := s.Apply(u); err != nil {
-			t.Fatalf("apply %v: %v", u, err)
-		}
+	if err := s.ApplyBatch(us); err != nil {
+		t.Fatalf("apply: %v", err)
 	}
 }
 
 func TestNodePointLookup(t *testing.T) {
+	ctx := context.Background()
 	s := openStore(t, Options{})
 	apply(t, s,
 		model.AddNode(1, 7, []string{"A"}, model.Properties{"v": model.IntValue(1)}),
 		model.UpdateNode(5, 7, nil, nil, model.Properties{"v": model.IntValue(2)}, nil),
 		model.DeleteNode(9, 7),
 	)
-	if ns, _ := s.GetNode(7, 0, 0); len(ns) != 0 {
+	if ns, _ := s.GetNodeContext(ctx, 7, 0, 0); len(ns) != 0 {
 		t.Error("before creation must be absent")
 	}
-	ns, err := s.GetNode(7, 3, 3)
+	ns, err := s.GetNodeContext(ctx, 7, 3, 3)
 	if err != nil || len(ns) != 1 {
 		t.Fatalf("at 3: %v %v", ns, err)
 	}
@@ -51,19 +52,20 @@ func TestNodePointLookup(t *testing.T) {
 	if ns[0].Valid.Start != 1 || ns[0].Valid.End != 5 {
 		t.Errorf("interval = %+v", ns[0].Valid)
 	}
-	ns, _ = s.GetNode(7, 6, 6)
+	ns, _ = s.GetNodeContext(ctx, 7, 6, 6)
 	if len(ns) != 1 || ns[0].Props["v"].Int() != 2 {
 		t.Error("version 2 state")
 	}
-	if ns, _ := s.GetNode(7, 9, 9); len(ns) != 0 {
+	if ns, _ := s.GetNodeContext(ctx, 7, 9, 9); len(ns) != 0 {
 		t.Error("after deletion must be absent")
 	}
-	if ns, _ := s.GetNode(999, 5, 5); len(ns) != 0 {
+	if ns, _ := s.GetNodeContext(ctx, 999, 5, 5); len(ns) != 0 {
 		t.Error("unknown node")
 	}
 }
 
 func TestNodeHistoryRange(t *testing.T) {
+	ctx := context.Background()
 	s := openStore(t, Options{})
 	apply(t, s,
 		model.AddNode(1, 7, nil, model.Properties{"v": model.IntValue(1)}),
@@ -71,7 +73,7 @@ func TestNodeHistoryRange(t *testing.T) {
 		model.DeleteNode(9, 7),
 		model.AddNode(12, 7, nil, model.Properties{"v": model.IntValue(3)}),
 	)
-	hist, err := s.GetNode(7, 0, model.TSInfinity)
+	hist, err := s.GetNodeContext(ctx, 7, 0, model.TSInfinity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,16 +91,17 @@ func TestNodeHistoryRange(t *testing.T) {
 		}
 	}
 	// Bounded range excludes outside versions.
-	mid, _ := s.GetNode(7, 5, 9)
+	mid, _ := s.GetNodeContext(ctx, 7, 5, 9)
 	if len(mid) != 1 || mid[0].Props["v"].Int() != 2 {
 		t.Errorf("range [5,9): %d versions", len(mid))
 	}
-	if _, err := s.GetNode(7, 9, 5); err == nil {
+	if _, err := s.GetNodeContext(ctx, 7, 9, 5); err == nil {
 		t.Error("inverted interval must fail")
 	}
 }
 
 func TestRelationshipLifecycle(t *testing.T) {
+	ctx := context.Background()
 	s := openStore(t, Options{})
 	apply(t, s,
 		model.AddNode(1, 0, nil, nil),
@@ -107,7 +110,7 @@ func TestRelationshipLifecycle(t *testing.T) {
 		model.UpdateRel(4, 5, 0, 1, model.Properties{"w": model.FloatValue(2)}, nil),
 		model.DeleteRel(6, 5, 0, 1),
 	)
-	rs, err := s.GetRelationship(5, 3, 3)
+	rs, err := s.GetRelationshipContext(ctx, 5, 3, 3)
 	if err != nil || len(rs) != 1 {
 		t.Fatalf("at 3: %v %v", rs, err)
 	}
@@ -117,14 +120,14 @@ func TestRelationshipLifecycle(t *testing.T) {
 	if rs[0].Props["w"].Float() != 1 {
 		t.Error("initial weight")
 	}
-	rs, _ = s.GetRelationship(5, 5, 5)
+	rs, _ = s.GetRelationshipContext(ctx, 5, 5, 5)
 	if len(rs) != 1 || rs[0].Props["w"].Float() != 2 {
 		t.Error("updated weight")
 	}
-	if rs, _ := s.GetRelationship(5, 7, 7); len(rs) != 0 {
+	if rs, _ := s.GetRelationshipContext(ctx, 5, 7, 7); len(rs) != 0 {
 		t.Error("deleted rel visible")
 	}
-	hist, _ := s.GetRelationship(5, 0, model.TSInfinity)
+	hist, _ := s.GetRelationshipContext(ctx, 5, 0, model.TSInfinity)
 	if len(hist) != 2 {
 		t.Fatalf("rel history %d versions, want 2", len(hist))
 	}
@@ -134,6 +137,7 @@ func TestRelationshipLifecycle(t *testing.T) {
 }
 
 func TestGetRelationshipsDirections(t *testing.T) {
+	ctx := context.Background()
 	s := openStore(t, Options{})
 	apply(t, s,
 		model.AddNode(1, 0, nil, nil),
@@ -142,26 +146,27 @@ func TestGetRelationshipsDirections(t *testing.T) {
 		model.AddRel(2, 0, 0, 1, "A", nil), // out of 0
 		model.AddRel(3, 1, 2, 0, "B", nil), // in to 0
 	)
-	out, err := s.GetRelationships(0, model.Outgoing, 4, 4)
+	out, err := s.GetRelationshipsContext(ctx, 0, model.Outgoing, 4, 4)
 	if err != nil || len(out) != 1 || out[0][0].Label != "A" {
 		t.Fatalf("outgoing: %v %v", out, err)
 	}
-	in, _ := s.GetRelationships(0, model.Incoming, 4, 4)
+	in, _ := s.GetRelationshipsContext(ctx, 0, model.Incoming, 4, 4)
 	if len(in) != 1 || in[0][0].Label != "B" {
 		t.Fatalf("incoming: %v", in)
 	}
-	both, _ := s.GetRelationships(0, model.Both, 4, 4)
+	both, _ := s.GetRelationshipsContext(ctx, 0, model.Both, 4, 4)
 	if len(both) != 2 {
 		t.Fatalf("both: %d", len(both))
 	}
 	// Before the rels existed.
-	none, _ := s.GetRelationships(0, model.Both, 1, 1)
+	none, _ := s.GetRelationshipsContext(ctx, 0, model.Both, 1, 1)
 	if len(none) != 0 {
 		t.Error("no rels at ts 1")
 	}
 }
 
 func TestGetRelationshipsAfterDeletion(t *testing.T) {
+	ctx := context.Background()
 	s := openStore(t, Options{})
 	apply(t, s,
 		model.AddNode(1, 0, nil, nil),
@@ -170,26 +175,27 @@ func TestGetRelationshipsAfterDeletion(t *testing.T) {
 		model.DeleteRel(4, 0, 0, 1),
 		model.AddRel(6, 1, 0, 1, "R2", nil), // second rel, same endpoints
 	)
-	at3, _ := s.GetRelationships(0, model.Outgoing, 3, 3)
+	at3, _ := s.GetRelationshipsContext(ctx, 0, model.Outgoing, 3, 3)
 	if len(at3) != 1 || at3[0][0].ID != 0 {
 		t.Errorf("at 3: %v", at3)
 	}
-	at5, _ := s.GetRelationships(0, model.Outgoing, 5, 5)
+	at5, _ := s.GetRelationshipsContext(ctx, 0, model.Outgoing, 5, 5)
 	if len(at5) != 0 {
 		t.Errorf("at 5 (gap): %v", at5)
 	}
-	at7, _ := s.GetRelationships(0, model.Outgoing, 7, 7)
+	at7, _ := s.GetRelationshipsContext(ctx, 0, model.Outgoing, 7, 7)
 	if len(at7) != 1 || at7[0][0].ID != 1 {
 		t.Errorf("at 7: %v", at7)
 	}
 	// Range covering everything returns both rels' histories.
-	all, _ := s.GetRelationships(0, model.Outgoing, 0, model.TSInfinity)
+	all, _ := s.GetRelationshipsContext(ctx, 0, model.Outgoing, 0, model.TSInfinity)
 	if len(all) != 2 {
 		t.Errorf("full history: %d rels", len(all))
 	}
 }
 
 func TestMaterializationThresholdCorrectness(t *testing.T) {
+	ctx := context.Background()
 	// Regardless of chain threshold, reconstruction must give the same
 	// answer; the threshold only changes performance/space (Fig 11).
 	for _, threshold := range []int{-1, 1, 2, 4, 8, 16} {
@@ -199,7 +205,7 @@ func TestMaterializationThresholdCorrectness(t *testing.T) {
 			apply(t, s, model.UpdateNode(model.Timestamp(i), 1, nil, nil,
 				model.Properties{"p" + string(rune('0'+i%10)): model.IntValue(int64(i))}, nil))
 		}
-		ns, err := s.GetNode(1, 32, 32)
+		ns, err := s.GetNodeContext(ctx, 1, 32, 32)
 		if err != nil || len(ns) != 1 {
 			t.Fatalf("threshold %d: %v %v", threshold, ns, err)
 		}
@@ -208,7 +214,7 @@ func TestMaterializationThresholdCorrectness(t *testing.T) {
 			t.Errorf("threshold %d: p2 = %d, want 32", threshold, ns[0].Props["p2"].Int())
 		}
 		// Mid-history lookups too.
-		mid, _ := s.GetNode(1, 17, 17)
+		mid, _ := s.GetNodeContext(ctx, 1, 17, 17)
 		if len(mid) != 1 || mid[0].Props["p7"].Int() != 17 {
 			t.Errorf("threshold %d: mid-history wrong", threshold)
 		}
@@ -242,6 +248,7 @@ func bigProps(n int) model.Properties {
 }
 
 func TestExpandMatchesAlg1(t *testing.T) {
+	ctx := context.Background()
 	// Star: 0 -> 1,2; 1 -> 3; 3 -> 4. All at ts 1..7.
 	s := openStore(t, Options{})
 	apply(t, s,
@@ -255,7 +262,7 @@ func TestExpandMatchesAlg1(t *testing.T) {
 		model.AddRel(4, 2, 1, 3, "R", nil),
 		model.AddRel(5, 3, 3, 4, "R", nil),
 	)
-	res, err := s.Expand(0, model.Outgoing, 3, 10)
+	res, err := s.ExpandContext(ctx, 0, model.Outgoing, 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,12 +276,12 @@ func TestExpandMatchesAlg1(t *testing.T) {
 		t.Errorf("hop 3: %v", res[2])
 	}
 	// Expanding at a time before the rels existed finds nothing.
-	res, _ = s.Expand(0, model.Outgoing, 3, 1)
+	res, _ = s.ExpandContext(ctx, 0, model.Outgoing, 3, 1)
 	if len(res[0]) != 0 {
 		t.Error("expand before rels must be empty")
 	}
 	// Incoming direction walks the reverse edges.
-	res, _ = s.Expand(4, model.Incoming, 2, 10)
+	res, _ = s.ExpandContext(ctx, 4, model.Incoming, 2, 10)
 	if len(res[0]) != 1 || res[0][0].ID != 3 {
 		t.Errorf("incoming hop 1: %v", res[0])
 	}
@@ -286,7 +293,7 @@ func TestExpandMatchesAlg1(t *testing.T) {
 func TestMonotonicityEnforced(t *testing.T) {
 	s := openStore(t, Options{})
 	apply(t, s, model.AddNode(10, 0, nil, nil))
-	if err := s.Apply(model.AddNode(5, 1, nil, nil)); err == nil {
+	if err := s.ApplyBatch([]model.Update{model.AddNode(5, 1, nil, nil)}); err == nil {
 		t.Error("decreasing ts must fail")
 	}
 	if s.AppliedThrough() != 10 {
@@ -296,10 +303,10 @@ func TestMonotonicityEnforced(t *testing.T) {
 
 func TestDeltaOnMissingEntityFails(t *testing.T) {
 	s := openStore(t, Options{})
-	if err := s.Apply(model.UpdateNode(1, 99, nil, nil, nil, nil)); err == nil {
+	if err := s.ApplyBatch([]model.Update{model.UpdateNode(1, 99, nil, nil, nil, nil)}); err == nil {
 		t.Error("delta for missing node must fail")
 	}
-	if err := s.Apply(model.UpdateRel(1, 99, 0, 0, nil, nil)); err == nil {
+	if err := s.ApplyBatch([]model.Update{model.UpdateRel(1, 99, 0, 0, nil, nil)}); err == nil {
 		t.Error("delta for missing rel must fail")
 	}
 }
@@ -308,6 +315,7 @@ func TestDeltaOnMissingEntityFails(t *testing.T) {
 // TGraph with the same random update stream and verifies point lookups
 // agree at every timestamp — the core correctness property of the store.
 func TestCrossCheckAgainstTemporalGraph(t *testing.T) {
+	ctx := context.Background()
 	s := openStore(t, Options{ChainThreshold: 3})
 	tg := memgraph.NewTGraph(model.Interval{Start: 0, End: model.TSInfinity})
 	rng := rand.New(rand.NewSource(11))
@@ -319,7 +327,7 @@ func TestCrossCheckAgainstTemporalGraph(t *testing.T) {
 		if err := tg.Apply(u); err != nil {
 			return // invalid op against current state; skip
 		}
-		if err := s.Apply(u); err != nil {
+		if err := s.ApplyBatch([]model.Update{u}); err != nil {
 			t.Fatalf("lineage rejected %v: %v", u, err)
 		}
 		updates = append(updates, u)
@@ -355,7 +363,7 @@ func TestCrossCheckAgainstTemporalGraph(t *testing.T) {
 	for probe := model.Timestamp(0); probe < ts; probe += 17 {
 		for id := model.NodeID(0); id < nodes; id++ {
 			want := tg.NodeAt(id, probe)
-			got, err := s.GetNode(id, probe, probe)
+			got, err := s.GetNodeContext(ctx, id, probe, probe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -368,7 +376,7 @@ func TestCrossCheckAgainstTemporalGraph(t *testing.T) {
 			}
 			// Out-degree cross-check.
 			wantRels := tg.RelsAt(id, model.Outgoing, probe)
-			gotRels, err := s.GetRelationships(id, model.Outgoing, probe, probe)
+			gotRels, err := s.GetRelationshipsContext(ctx, id, model.Outgoing, probe, probe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -380,8 +388,9 @@ func TestCrossCheckAgainstTemporalGraph(t *testing.T) {
 }
 
 func TestReopenPreservesHistory(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
-	strs, err := strstore.Open(dir + "/strings.db")
+	strs, err := strstore.OpenFS(vfs.OS, dir+"/strings.db")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +412,7 @@ func TestReopenPreservesHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	strs2, err := strstore.Open(dir + "/strings.db")
+	strs2, err := strstore.OpenFS(vfs.OS, dir+"/strings.db")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,25 +421,25 @@ func TestReopenPreservesHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns, err := s2.GetNode(0, 3, 3)
+	ns, err := s2.GetNodeContext(ctx, 0, 3, 3)
 	if err != nil || len(ns) != 1 || ns[0].Props["v"].Int() != 1 {
 		t.Fatalf("reopened version at 3: %v %v", ns, err)
 	}
-	ns, _ = s2.GetNode(0, 4, 4)
+	ns, _ = s2.GetNodeContext(ctx, 0, 4, 4)
 	if len(ns) != 1 || ns[0].Props["v"].Int() != 2 {
 		t.Fatalf("reopened version at 4: %v", ns)
 	}
-	rels, err := s2.GetRelationships(0, model.Outgoing, 3, 3)
+	rels, err := s2.GetRelationshipsContext(ctx, 0, model.Outgoing, 3, 3)
 	if err != nil || len(rels) != 1 {
 		t.Fatalf("reopened rels: %v %v", rels, err)
 	}
 	// New appends continue (monotonic state is not persisted across
 	// reopen, so the new store accepts any ts >= its own lastTS).
-	if err := s2.Apply(model.UpdateNode(9, 0, nil, nil,
-		model.Properties{"v": model.IntValue(3)}, nil)); err != nil {
+	if err := s2.ApplyBatch([]model.Update{model.UpdateNode(9, 0, nil, nil,
+		model.Properties{"v": model.IntValue(3)}, nil)}); err != nil {
 		t.Fatal(err)
 	}
-	ns, _ = s2.GetNode(0, 9, 9)
+	ns, _ = s2.GetNodeContext(ctx, 0, 9, 9)
 	if len(ns) != 1 || ns[0].Props["v"].Int() != 3 {
 		t.Fatalf("append after reopen: %v", ns)
 	}
@@ -445,7 +454,7 @@ func TestExpandDirectionBoth(t *testing.T) {
 		model.AddRel(2, 0, 0, 1, "R", nil), // out of 0
 		model.AddRel(3, 1, 2, 0, "R", nil), // in to 0
 	)
-	res, err := s.Expand(0, model.Both, 1, 5)
+	res, err := s.ExpandContext(context.Background(), 0, model.Both, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,11 +464,12 @@ func TestExpandDirectionBoth(t *testing.T) {
 }
 
 func TestGetRelationshipsInvalidInterval(t *testing.T) {
+	ctx := context.Background()
 	s := openStore(t, Options{})
-	if _, err := s.GetRelationships(0, model.Both, 5, 1); err == nil {
+	if _, err := s.GetRelationshipsContext(ctx, 0, model.Both, 5, 1); err == nil {
 		t.Error("inverted interval must fail")
 	}
-	if _, err := s.GetRelationship(0, 5, 1); err == nil {
+	if _, err := s.GetRelationshipContext(ctx, 0, 5, 1); err == nil {
 		t.Error("inverted interval must fail")
 	}
 }

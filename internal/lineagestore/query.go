@@ -105,26 +105,10 @@ func (s *Store) reconstructRel(id model.RelID, ts model.Timestamp) (int, *model.
 	return newestPos, r, nil
 }
 
-// reconstructNodeLocked / reconstructRelLocked are used on the write path
-// (the caller already holds the write lock; the trees have their own
-// locks, so these simply alias the read-path reconstruction).
-func (s *Store) reconstructNodeLocked(id model.NodeID, ts model.Timestamp) (int, *model.Node, error) {
-	return s.reconstructNode(id, ts)
-}
-
-func (s *Store) reconstructRelLocked(id model.RelID, ts model.Timestamp) (int, *model.Rel, error) {
-	return s.reconstructRel(id, ts)
-}
-
-// GetNode returns the node's history between start (inclusive) and end
-// (exclusive), one entry per version (Table 1). With start == end it
-// returns the single version valid at that instant, if any.
-func (s *Store) GetNode(id model.NodeID, start, end model.Timestamp) ([]*model.Node, error) {
-	return s.GetNodeContext(context.Background(), id, start, end)
-}
-
-// GetNodeContext is GetNode honouring ctx cancellation: the version range
-// scan checks ctx every cancelStride entries.
+// GetNodeContext returns the node's history between start (inclusive) and
+// end (exclusive), one entry per version (Table 1). With start == end it
+// returns the single version valid at that instant, if any. The version
+// range scan checks ctx every cancelStride entries.
 func (s *Store) GetNodeContext(ctx context.Context, id model.NodeID, start, end model.Timestamp) ([]*model.Node, error) {
 	if end < start {
 		return nil, fmt.Errorf("lineagestore: %w: [%d, %d)", model.ErrInvalidInterval, start, end)
@@ -147,16 +131,19 @@ func (s *Store) GetNodeContext(ctx context.Context, id model.NodeID, start, end 
 			out = append(out, v)
 		}
 	}
+	// The callback's error lives apart from err: Scan's own nil return
+	// would otherwise overwrite a cancellation or decode failure.
 	scanned := 0
+	var cerr error
 	err = s.nodes.Scan(enc.KeyNode(id, start+1), enc.KeyNode(id, end), func(k, v []byte) bool {
 		if scanned++; scanned%cancelStride == 0 {
-			if err = ctx.Err(); err != nil {
+			if cerr = ctx.Err(); cerr != nil {
 				return false
 			}
 		}
 		u, derr := s.codec.DecodeUpdate(v[1:])
 		if derr != nil {
-			err = derr
+			cerr = derr
 			return false
 		}
 		switch u.Kind {
@@ -183,6 +170,9 @@ func (s *Store) GetNodeContext(ctx context.Context, id model.NodeID, start, end 
 		}
 		return true
 	})
+	if err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -214,13 +204,9 @@ func (s *Store) closeRelInterval(id model.RelID, r *model.Rel) {
 	})
 }
 
-// GetRelationship returns the relationship's history between start and end
-// (Table 1); start == end returns the single version at that instant.
-func (s *Store) GetRelationship(id model.RelID, start, end model.Timestamp) ([]*model.Rel, error) {
-	return s.GetRelationshipContext(context.Background(), id, start, end)
-}
-
-// GetRelationshipContext is GetRelationship honouring ctx cancellation.
+// GetRelationshipContext returns the relationship's history between start
+// and end (Table 1); start == end returns the single version at that
+// instant.
 func (s *Store) GetRelationshipContext(ctx context.Context, id model.RelID, start, end model.Timestamp) ([]*model.Rel, error) {
 	if end < start {
 		return nil, fmt.Errorf("lineagestore: %w: [%d, %d)", model.ErrInvalidInterval, start, end)
@@ -243,16 +229,19 @@ func (s *Store) GetRelationshipContext(ctx context.Context, id model.RelID, star
 			out = append(out, v)
 		}
 	}
+	// The callback's error lives apart from err: Scan's own nil return
+	// would otherwise overwrite a cancellation or decode failure.
 	scanned := 0
+	var cerr error
 	err = s.rels.Scan(enc.KeyRel(id, start+1), enc.KeyRel(id, end), func(k, v []byte) bool {
 		if scanned++; scanned%cancelStride == 0 {
-			if err = ctx.Err(); err != nil {
+			if cerr = ctx.Err(); cerr != nil {
 				return false
 			}
 		}
 		u, derr := s.codec.DecodeUpdate(v[1:])
 		if derr != nil {
-			err = derr
+			cerr = derr
 			return false
 		}
 		switch u.Kind {
@@ -280,6 +269,9 @@ func (s *Store) GetRelationshipContext(ctx context.Context, id model.RelID, star
 		}
 		return true
 	})
+	if err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -357,17 +349,12 @@ func (s *Store) liveRelsAt(ctx context.Context, id model.NodeID, d model.Directi
 	return out, nil
 }
 
-// GetRelationships returns a node's (in/out) relationship history between
-// start and end (Table 1): one inner slice per incident relationship,
-// holding its versions in the interval. With start == end it returns the
-// relationships live at that instant, one version each.
-func (s *Store) GetRelationships(id model.NodeID, d model.Direction, start, end model.Timestamp) ([][]*model.Rel, error) {
-	return s.GetRelationshipsContext(context.Background(), id, d, start, end)
-}
-
-// GetRelationshipsContext is GetRelationships honouring ctx cancellation:
-// both the neighbour-index collection scans and the per-relationship
-// version loops are cancellation points.
+// GetRelationshipsContext returns a node's (in/out) relationship history
+// between start and end (Table 1): one inner slice per incident
+// relationship, holding its versions in the interval. With start == end it
+// returns the relationships live at that instant, one version each. Both
+// the neighbour-index collection scans and the per-relationship version
+// loops are cancellation points.
 func (s *Store) GetRelationshipsContext(ctx context.Context, id model.NodeID, d model.Direction, start, end model.Timestamp) ([][]*model.Rel, error) {
 	if end < start {
 		return nil, fmt.Errorf("lineagestore: %w: [%d, %d)", model.ErrInvalidInterval, start, end)
@@ -453,16 +440,11 @@ func (s *Store) GetRelationshipsContext(ctx context.Context, id model.NodeID, d 
 	return out, nil
 }
 
-// Expand implements Alg 1: the n-hop neighbourhood of a node at time t,
-// translated directly to index lookups. The result holds one slice per hop
-// with per-hop deduplication, exactly as in the paper's pseudocode.
-func (s *Store) Expand(id model.NodeID, d model.Direction, hops int, ts model.Timestamp) ([][]*model.Node, error) {
-	return s.ExpandContext(context.Background(), id, d, hops, ts)
-}
-
-// ExpandContext is Expand honouring ctx cancellation: the frontier loop
-// checks ctx before expanding each node, so even a densely connected
-// neighbourhood stops within one node's worth of index lookups.
+// ExpandContext implements Alg 1: the n-hop neighbourhood of a node at time
+// t, translated directly to index lookups. The result holds one slice per
+// hop with per-hop deduplication, exactly as in the paper's pseudocode. The
+// frontier loop checks ctx before expanding each node, so even a densely
+// connected neighbourhood stops within one node's worth of index lookups.
 func (s *Store) ExpandContext(ctx context.Context, id model.NodeID, d model.Direction, hops int, ts model.Timestamp) ([][]*model.Node, error) {
 	result := make([][]*model.Node, hops)
 	queue := []model.NodeID{id}

@@ -88,7 +88,7 @@ func isCtxType(p *Package, e ast.Expr) bool {
 
 // checkLoops walks fn's body and reports outermost loops whose subtrees
 // never touch ctx. Subtrees of calls that receive ctx are skipped
-// entirely: a closure handed to a ctx-aware helper (pool.RunOrderedCtx's
+// entirely: a closure handed to a ctx-aware helper (pool.RunOrdered's
 // worker bodies, say) delegates its cancellation duty to the helper.
 func checkLoops(p *Package, fn *ast.FuncDecl, ctxVars map[types.Object]string) []Finding {
 	var out []Finding

@@ -89,13 +89,8 @@ type Cache struct {
 	failed    error // sticky: first writeback/sync error; later writes fail-stop
 }
 
-// Open creates or opens a file-backed cache holding at most capacityPages
-// pages in memory.
-func Open(path string, capacityPages int) (*Cache, error) {
-	return OpenFS(vfs.OS, path, capacityPages)
-}
-
-// OpenFS is Open on an explicit filesystem.
+// OpenFS creates or opens a cache backed by the file at path on fs,
+// holding at most capacityPages pages in memory.
 func OpenFS(fs vfs.FS, path string, capacityPages int) (*Cache, error) {
 	f, err := fs.OpenFile(path)
 	if err != nil {

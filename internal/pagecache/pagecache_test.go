@@ -1,6 +1,7 @@
 package pagecache
 
 import (
+	"aion/internal/vfs"
 	"path/filepath"
 	"testing"
 )
@@ -58,7 +59,7 @@ func TestEvictionWritesBack(t *testing.T) {
 
 func TestFileBackedPersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.db")
-	c, err := Open(path, 8)
+	c, err := OpenFS(vfs.OS, path, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestFileBackedPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := Open(path, 8)
+	c2, err := OpenFS(vfs.OS, path, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,10 +38,47 @@ type result[R any] struct {
 // error. In-flight results are bounded to ~2×workers jobs, so memory stays
 // flat regardless of how many jobs the producer emits.
 //
+// Cancellation is cooperative: the producer stops emitting and the
+// consumer stops consuming as soon as ctx is done, and the context's error
+// is returned. The worker stage is not interrupted mid-item — jobs are
+// small by construction (bounded batches), so cancellation latency is one
+// job, not one pipeline. A context that can never be cancelled
+// (ctx.Done() == nil) adds no per-item overhead.
+//
 // With workers <= 1 the pipeline runs fully inline on the calling
 // goroutine with no goroutines or channels — byte- and order-identical to
 // the concurrent execution, just sequential.
-func RunOrdered[J, R any](workers int,
+func RunOrdered[J, R any](ctx context.Context, workers int,
+	produce func(emit func(J) bool) error,
+	work func(J) (R, error),
+	consume func(R) error) error {
+	if ctx.Done() == nil {
+		return runOrdered(workers, produce, work, consume)
+	}
+	err := runOrdered(workers,
+		func(emit func(J) bool) error {
+			return produce(func(j J) bool {
+				if ctx.Err() != nil {
+					return false
+				}
+				return emit(j)
+			})
+		},
+		work,
+		func(r R) error {
+			if cerr := ctx.Err(); cerr != nil {
+				return cerr
+			}
+			return consume(r)
+		})
+	if err != nil {
+		return err
+	}
+	return ctx.Err()
+}
+
+// runOrdered is the pipeline itself, blind to cancellation.
+func runOrdered[J, R any](workers int,
 	produce func(emit func(J) bool) error,
 	work func(J) (R, error),
 	consume func(R) error) error {
@@ -117,41 +154,6 @@ func RunOrdered[J, R any](workers int,
 		return cerr
 	}
 	return perr
-}
-
-// RunOrderedCtx is RunOrdered with cooperative cancellation: the producer
-// stops emitting and the consumer stops consuming as soon as ctx is done,
-// and the context's error is returned. The worker stage is not interrupted
-// mid-item — jobs are small by construction (bounded batches), so
-// cancellation latency is one job, not one pipeline. A context that can
-// never be cancelled (ctx.Done() == nil) adds no per-item overhead.
-func RunOrderedCtx[J, R any](ctx context.Context, workers int,
-	produce func(emit func(J) bool) error,
-	work func(J) (R, error),
-	consume func(R) error) error {
-	if ctx == nil || ctx.Done() == nil {
-		return RunOrdered(workers, produce, work, consume)
-	}
-	err := RunOrdered(workers,
-		func(emit func(J) bool) error {
-			return produce(func(j J) bool {
-				if ctx.Err() != nil {
-					return false
-				}
-				return emit(j)
-			})
-		},
-		work,
-		func(r R) error {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			return consume(r)
-		})
-	if err != nil {
-		return err
-	}
-	return ctx.Err()
 }
 
 func runOrderedInline[J, R any](produce func(emit func(J) bool) error,

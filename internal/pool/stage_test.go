@@ -16,7 +16,7 @@ func TestRunOrderedPreservesOrder(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const n = 200
 			var got []int
-			err := RunOrdered(workers,
+			err := RunOrdered(context.Background(), workers,
 				func(emit func(int) bool) error {
 					for i := 0; i < n; i++ {
 						if !emit(i) {
@@ -56,7 +56,7 @@ func TestRunOrderedWorkerError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		consumed := 0
-		err := RunOrdered(workers,
+		err := RunOrdered(context.Background(), workers,
 			func(emit func(int) bool) error {
 				for i := 0; i < 100; i++ {
 					if !emit(i) {
@@ -91,7 +91,7 @@ func TestRunOrderedConsumerStop(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var produced atomic.Int64
 		consumed := 0
-		err := RunOrdered(workers,
+		err := RunOrdered(context.Background(), workers,
 			func(emit func(int) bool) error {
 				for i := 0; i < 1_000_000; i++ {
 					if !emit(i) {
@@ -125,7 +125,7 @@ func TestRunOrderedConsumerStop(t *testing.T) {
 
 func TestRunOrderedConsumerError(t *testing.T) {
 	bad := errors.New("consume failed")
-	err := RunOrdered(4,
+	err := RunOrdered(context.Background(), 4,
 		func(emit func(int) bool) error {
 			for i := 0; i < 100; i++ {
 				if !emit(i) {
@@ -149,7 +149,7 @@ func TestRunOrderedConsumerError(t *testing.T) {
 func TestRunOrderedProducerError(t *testing.T) {
 	bad := errors.New("produce failed")
 	got := 0
-	err := RunOrdered(4,
+	err := RunOrdered(context.Background(), 4,
 		func(emit func(int) bool) error {
 			emit(1)
 			emit(2)
@@ -166,7 +166,7 @@ func TestRunOrderedProducerError(t *testing.T) {
 }
 
 func TestRunOrderedEmpty(t *testing.T) {
-	err := RunOrdered(4,
+	err := RunOrdered(context.Background(), 4,
 		func(emit func(int) bool) error { return nil },
 		func(i int) (int, error) { return i, nil },
 		func(r int) error { t.Error("no jobs, no results"); return nil })
@@ -187,7 +187,7 @@ func TestDefaultWorkers(t *testing.T) {
 func TestRunOrderedCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var consumed atomic.Int64
-	err := RunOrderedCtx(ctx, 4,
+	err := RunOrdered(ctx, 4,
 		func(emit func(int) bool) error {
 			for i := 0; i < 1_000_000; i++ {
 				if i == 100 {
@@ -210,10 +210,10 @@ func TestRunOrderedCtxCancel(t *testing.T) {
 }
 
 // TestRunOrderedCtxUncancellable checks the fast path: a context that can
-// never fire behaves exactly like plain RunOrdered.
+// never fire runs every job and returns the plain pipeline result.
 func TestRunOrderedCtxUncancellable(t *testing.T) {
 	var sum int
-	err := RunOrderedCtx(context.Background(), 4,
+	err := RunOrdered(context.Background(), 4,
 		func(emit func(int) bool) error {
 			for i := 1; i <= 100; i++ {
 				if !emit(i) {
@@ -239,7 +239,7 @@ func TestRunOrderedCtxStop(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var consumed int
-	err := RunOrderedCtx(ctx, 2,
+	err := RunOrdered(ctx, 2,
 		func(emit func(int) bool) error {
 			for i := 0; i < 100; i++ {
 				if !emit(i) {

@@ -19,6 +19,7 @@ package replica
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -69,6 +70,7 @@ func commitOne(s *system.System, i int) (model.Timestamp, error) {
 // string table, and an identical temporal update history.
 func verifyConverged(t *testing.T, tag string, p *system.System, pfs vfs.FS, pdir string,
 	f *system.System, ffs vfs.FS, fdir string, app *Applier) {
+	ctx := context.Background()
 	t.Helper()
 	if wm, pc := app.Watermark(), p.Host.Clock(); wm != pc {
 		t.Fatalf("%s: watermark %d, primary clock %d", tag, wm, pc)
@@ -92,11 +94,11 @@ func verifyConverged(t *testing.T, tag string, p *system.System, pfs vfs.FS, pdi
 		t.Fatalf("%s: follower aion: %v", tag, err)
 	}
 	clock := p.Host.Clock()
-	pu, err := p.Aion.TimeStore().GetDiff(0, clock+1)
+	pu, err := p.Aion.TimeStore().GetDiffContext(ctx, 0, clock+1)
 	if err != nil {
 		t.Fatalf("%s: primary GetDiff: %v", tag, err)
 	}
-	fu, err := f.Aion.TimeStore().GetDiff(0, clock+1)
+	fu, err := f.Aion.TimeStore().GetDiffContext(ctx, 0, clock+1)
 	if err != nil {
 		t.Fatalf("%s: follower GetDiff: %v", tag, err)
 	}

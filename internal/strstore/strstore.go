@@ -50,10 +50,8 @@ func NewMem() *Store {
 	return s
 }
 
-// Open creates or reloads a persistent store backed by the given file.
-func Open(path string) (*Store, error) { return OpenFS(vfs.OS, path) }
-
-// OpenFS is Open on an explicit filesystem. Reloading validates the table
+// OpenFS creates or reloads a persistent store backed by the file at path
+// on fs. Reloading validates the table
 // as it goes: a record whose length prefix or body runs past the end of
 // the file is the torn tail of a crash mid-append, and is truncated away.
 // References are positional, so the table can only be cut at the end —

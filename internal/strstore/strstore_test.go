@@ -1,6 +1,7 @@
 package strstore
 
 import (
+	"aion/internal/vfs"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -49,7 +50,7 @@ func TestLookupDangling(t *testing.T) {
 
 func TestPersistenceReload(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "strings.db")
-	s, err := Open(path)
+	s, err := OpenFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestPersistenceReload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(path)
+	s2, err := OpenFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}

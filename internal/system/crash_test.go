@@ -12,6 +12,7 @@ package system
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -187,6 +188,7 @@ func encodeSysU(t *testing.T, codec *enc.Codec, u model.Update) []byte {
 
 // verifySystem asserts the recovery contract on a reopened system.
 func verifySystem(t *testing.T, k int, torn bool, s *System, res sysDriveResult) {
+	ctx := context.Background()
 	t.Helper()
 	cc := len(res.committed)
 	m := int(s.Host.Clock())
@@ -235,7 +237,7 @@ func verifySystem(t *testing.T, k int, torn bool, s *System, res sysDriveResult)
 			t.Fatalf("k=%d torn=%v: aion at ts %d, host at %d", k, torn, got, m)
 		}
 	}
-	rec, err := s.Aion.TimeStore().GetDiff(0, model.Timestamp(m)+1)
+	rec, err := s.Aion.TimeStore().GetDiffContext(ctx, 0, model.Timestamp(m)+1)
 	if err != nil {
 		t.Fatalf("k=%d torn=%v: aion GetDiff: %v", k, torn, err)
 	}
@@ -252,7 +254,7 @@ func verifySystem(t *testing.T, k int, torn bool, s *System, res sysDriveResult)
 		if got := s.Aion.LineageStore().AppliedThrough(); got != model.Timestamp(m) {
 			t.Fatalf("k=%d torn=%v: lineage applied through %d, want %d", k, torn, got, m)
 		}
-		g, err := s.Aion.TimeStore().GetGraph(model.Timestamp(m))
+		g, err := s.Aion.TimeStore().GetGraphContext(ctx, model.Timestamp(m))
 		if err != nil {
 			t.Fatalf("k=%d torn=%v: aion GetGraph: %v", k, torn, err)
 		}

@@ -6,13 +6,14 @@ package system
 // — but user-space buffers are lost. The WAL appends through unbuffered
 // WriteAt while the string table writes through a bufio.Writer, so without
 // the strings-Flush-before-log-append ordering (hostdb commitBatch,
-// timestore AppendBatch/appendLocked) the surviving files could hold log
+// timestore AppendBatch) the surviving files could hold log
 // records whose string refs were never written, and reopen would fail with
 // "strstore: dangling ref". The FaultFS models this crash mode exactly by
 // NOT calling Crash(): all written bytes remain visible, all buffered
 // bytes are simply never written.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -83,7 +84,7 @@ func TestProcessKillRecoversAckedCommits(t *testing.T) {
 	}
 	// The per-txn strings must have survived: read one back through the
 	// temporal store.
-	vs, err := s2.Aion.GetNode(model.NodeID(txns), 0, model.TSInfinity)
+	vs, err := s2.Aion.GetNodeContext(context.Background(), model.NodeID(txns), 0, model.TSInfinity)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package system
 
 import (
+	"context"
 	"fmt"
 
 	"aion/internal/aion"
@@ -92,7 +93,7 @@ func (s *System) reconcile() error {
 	have := 0
 	if last > 0 {
 		if ts := s.Aion.TimeStore(); ts != nil {
-			us, err := ts.GetDiff(last, last+1)
+			us, err := ts.GetDiffContext(context.Background(), last, last+1)
 			if err != nil {
 				return err
 			}

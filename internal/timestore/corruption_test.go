@@ -1,12 +1,15 @@
 package timestore
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"aion/internal/model"
 )
 
 // TestCorruptedSnapshotSurfacesError damages the framed files a GetGraph
@@ -47,7 +50,7 @@ func TestCorruptedSnapshotSurfacesError(t *testing.T) {
 					opts.ParallelIO = par
 					s := openStore(t, opts)
 					for _, u := range chainUpdates(10) {
-						if err := s.Append(u); err != nil {
+						if err := s.AppendBatch([]model.Update{u}); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -70,7 +73,7 @@ func TestCorruptedSnapshotSurfacesError(t *testing.T) {
 					var before, after runtime.MemStats
 					runtime.GC()
 					runtime.ReadMemStats(&before)
-					_, err := s.GetGraph(6)
+					_, err := s.GetGraphContext(context.Background(), 6)
 					runtime.ReadMemStats(&after)
 					if err == nil {
 						t.Fatalf("GetGraph over a %s .%s file must surface an error", c.name, file.ext)

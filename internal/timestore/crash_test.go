@@ -11,6 +11,7 @@ package timestore
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -113,7 +114,7 @@ type driveResult struct {
 func driveStore(st *Store, us []model.Update) driveResult {
 	var res driveResult
 	for i, u := range us {
-		if err := st.Append(u); err != nil {
+		if err := st.AppendBatch([]model.Update{u}); err != nil {
 			break
 		}
 		res.attempted = i + 1
@@ -144,7 +145,7 @@ func encodeU(t *testing.T, codec *enc.Codec, u model.Update) []byte {
 func verifyRecovered(t *testing.T, k int, torn bool, codec *enc.Codec, st *Store, us []model.Update, res driveResult) {
 	t.Helper()
 	maxTS := us[len(us)-1].TS
-	rec, err := st.GetDiff(0, maxTS+1)
+	rec, err := st.GetDiffContext(context.Background(), 0, maxTS+1)
 	if err != nil {
 		t.Fatalf("k=%d torn=%v: GetDiff after recovery: %v", k, torn, err)
 	}
@@ -223,6 +224,7 @@ func TestCrashSweepTimeStore(t *testing.T) {
 // crash in the middle of writing a new snapshot must leave the previous
 // snapshot set fully readable and the leftover *.snap.tmp cleaned up.
 func TestCrashMidSnapshotKeepsPreviousSnapshots(t *testing.T) {
+	ctx := context.Background()
 	us := genWorkload(120)
 	codec := enc.NewCodec(strstore.NewMem())
 	fs := vfs.NewFaultFS()
@@ -231,7 +233,7 @@ func TestCrashMidSnapshotKeepsPreviousSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, u := range us[:60] {
-		if err := st.Append(u); err != nil {
+		if err := st.AppendBatch([]model.Update{u}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,7 +245,7 @@ func TestCrashMidSnapshotKeepsPreviousSnapshots(t *testing.T) {
 	}
 	firstSnapTS := st.LatestTimestamp()
 	for _, u := range us[60:] {
-		if err := st.Append(u); err != nil {
+		if err := st.AppendBatch([]model.Update{u}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,7 +282,7 @@ func TestCrashMidSnapshotKeepsPreviousSnapshots(t *testing.T) {
 		t.Fatal("previous snapshot vanished")
 	}
 	// The old snapshot is still loadable and queries through it succeed.
-	g, err := st2.GetGraph(firstSnapTS)
+	g, err := st2.GetGraphContext(ctx, firstSnapTS)
 	if err != nil {
 		t.Fatalf("GetGraph through the surviving snapshot: %v", err)
 	}
@@ -288,7 +290,7 @@ func TestCrashMidSnapshotKeepsPreviousSnapshots(t *testing.T) {
 		t.Error("snapshot-based graph is empty")
 	}
 	// All 120 updates were flushed before the crash, so recovery is total.
-	rec, err := st2.GetDiff(0, us[len(us)-1].TS+1)
+	rec, err := st2.GetDiffContext(ctx, 0, us[len(us)-1].TS+1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func (s *Store) writeSnapshotFile(path string, g *memgraph.Graph) (int64, error)
 		if s.opts.ParallelIO <= 1 {
 			return s.writeUpdateFrames(w, us)
 		}
-		return pool.RunOrdered(s.opts.ParallelIO,
+		return pool.RunOrdered(context.Background(), s.opts.ParallelIO,
 			func(emit func([]model.Update) bool) error {
 				for len(us) > 0 {
 					n := min(frameBatchRecords, len(us))
@@ -198,11 +198,11 @@ func scanFile(fs vfs.FS, path string, from int64, readahead int, fn func([]wal.F
 // when fn returns false or ctx is cancelled (cancellation is checked once
 // per readahead batch, so a runaway range scan stops within one batch of
 // the deadline). It runs on replay, the shared engine of recover,
-// ScanDiff, and therefore GetGraph/GetGraphs, and of snapshot loads: the
-// frames are read in readahead batches and, when ParallelIO > 1, record
-// decoding runs on the worker stage while fn (index maintenance, graph
-// apply) stays in order on the calling goroutine. Sealed partition
-// segments and chain files replay through replaySeq.
+// ScanDiffContext, and therefore GetGraphContext/GetGraphsContext, and of
+// snapshot loads: the frames are read in readahead batches and, when
+// ParallelIO > 1, record decoding runs on the worker stage while fn (index
+// maintenance, graph apply) stays in order on the calling goroutine.
+// Sealed partition segments and chain files replay through replaySeq.
 func (s *Store) replayLog(ctx context.Context, from int64, fn func(off int64, u model.Update) bool) error {
 	return s.replay(ctx, logFrames(s.log, from), fn)
 }
@@ -242,7 +242,7 @@ func (s *Store) replaySeq(ctx context.Context, src frameSource, fn func(off int6
 }
 
 func (s *Store) replayParallel(ctx context.Context, src frameSource, fn func(off int64, u model.Update) bool) error {
-	return pool.RunOrderedCtx(ctx, s.opts.ParallelIO,
+	return pool.RunOrdered(ctx, s.opts.ParallelIO,
 		func(emit func(frameBatch) bool) error {
 			stopped := false
 			err := src(func(frames []wal.Frame) bool {

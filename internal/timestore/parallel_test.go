@@ -192,6 +192,7 @@ func TestStatsSnapshotBytesTracked(t *testing.T) {
 // recovery runs the parallel snapshot loader and the parallel log-tail
 // replay, and checks the rebuilt state matches a sequential reopen.
 func TestRecoverParallel(t *testing.T) {
+	ctx := context.Background()
 	const n = 400
 	dir := t.TempDir()
 	us := propUpdates(n)
@@ -214,7 +215,7 @@ func TestRecoverParallel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reopen par=%d: %v", par, err)
 		}
-		g, err := r.GetGraph(us[len(us)-1].TS)
+		g, err := r.GetGraphContext(ctx, us[len(us)-1].TS)
 		if err != nil {
 			t.Fatalf("reopen par=%d: %v", par, err)
 		}
@@ -222,7 +223,7 @@ func TestRecoverParallel(t *testing.T) {
 			t.Fatalf("reopen par=%d: %d nodes / %d rels, want %d / %d",
 				par, g.NodeCount(), g.RelCount(), n, n-1)
 		}
-		mid, err := r.GetGraph(model.Timestamp(n / 2))
+		mid, err := r.GetGraphContext(ctx, model.Timestamp(n/2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,6 +241,7 @@ func TestRecoverParallel(t *testing.T) {
 // pipelines enabled — satellite (d), run under -race in the Makefile's race
 // target.
 func TestConcurrentReadWriteStress(t *testing.T) {
+	ctx := context.Background()
 	const n = 1500
 	s := openStore(t, Options{SnapshotEveryOps: 200, ParallelIO: 4})
 	us := propUpdates(n)
@@ -252,7 +254,7 @@ func TestConcurrentReadWriteStress(t *testing.T) {
 		defer wg.Done()
 		defer close(stop)
 		for _, u := range us {
-			if err := s.Append(u); err != nil {
+			if err := s.AppendBatch([]model.Update{u}); err != nil {
 				t.Errorf("append: %v", err)
 				return
 			}
@@ -279,7 +281,7 @@ func TestConcurrentReadWriteStress(t *testing.T) {
 				i++
 				switch i % 3 {
 				case 0:
-					g, err := s.GetGraph(ts)
+					g, err := s.GetGraphContext(ctx, ts)
 					if err != nil {
 						t.Errorf("GetGraph(%d): %v", ts, err)
 						return
@@ -290,12 +292,12 @@ func TestConcurrentReadWriteStress(t *testing.T) {
 					}
 				case 1:
 					step := model.Timestamp(1 + hi/8)
-					if _, err := s.GetGraphs(0, ts, step); err != nil {
+					if _, err := s.GetGraphsContext(ctx, 0, ts, step); err != nil {
 						t.Errorf("GetGraphs(0,%d,%d): %v", ts, step, err)
 						return
 					}
 				default:
-					if _, err := s.GetDiff(ts/2, ts); err != nil {
+					if _, err := s.GetDiffContext(ctx, ts/2, ts); err != nil {
 						t.Errorf("GetDiff(%d,%d): %v", ts/2, ts, err)
 						return
 					}
@@ -308,7 +310,7 @@ func TestConcurrentReadWriteStress(t *testing.T) {
 	if st := s.Stats(); st.SnapshotErrors != 0 {
 		t.Fatalf("stress run hit snapshot errors: %d (%s)", st.SnapshotErrors, st.LastSnapshotError)
 	}
-	g, err := s.GetGraph(us[len(us)-1].TS)
+	g, err := s.GetGraphContext(ctx, us[len(us)-1].TS)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package timestore
 // hybrid, and never losing an acked commit.
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -128,6 +129,7 @@ func TestCrashSweepSeal(t *testing.T) {
 // it, and recompact from the partition log — after which queries are whole
 // again.
 func TestRecoveryDropsOrphanDeltas(t *testing.T) {
+	ctx := context.Background()
 	us := genWorkload(120)
 	codec := enc.NewCodec(strstore.NewMem())
 	fs := vfs.NewFaultFS()
@@ -159,7 +161,7 @@ func TestRecoveryDropsOrphanDeltas(t *testing.T) {
 	if victim == "" {
 		t.Fatal("no mid-chain full to delete; tune DeltaChainLength or workload size")
 	}
-	before, err := st.GetDiff(0, us[len(us)-1].TS+1)
+	before, err := st.GetDiffContext(ctx, 0, us[len(us)-1].TS+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +211,7 @@ func TestRecoveryDropsOrphanDeltas(t *testing.T) {
 		}
 	}
 	// And the store's contents are untouched.
-	after, err := st2.GetDiff(0, us[len(us)-1].TS+1)
+	after, err := st2.GetDiffContext(ctx, 0, us[len(us)-1].TS+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +225,7 @@ func TestRecoveryDropsOrphanDeltas(t *testing.T) {
 	}
 	// A graph query landing inside the recompacted partition materializes.
 	mid := us[len(us)/3].TS
-	g, err := st2.GetGraph(mid)
+	g, err := st2.GetGraphContext(ctx, mid)
 	if err != nil {
 		t.Fatalf("GetGraph(%d) through recompacted chain: %v", mid, err)
 	}

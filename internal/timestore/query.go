@@ -12,27 +12,20 @@ import (
 	"aion/internal/pool"
 )
 
-// The query API comes in pairs following the database/sql convention:
-// Xxx(...) is shorthand for XxxContext(context.Background(), ...), and the
-// Context variant observes cancellation and deadlines cooperatively — the
-// log-replay and snapshot-load loops (the two unbounded parts of any
-// global query) stop within one readahead batch of the context firing and
-// return ctx.Err().
+// Every query takes a ctx first and observes cancellation and deadlines
+// cooperatively — the log-replay and snapshot-load loops (the two unbounded
+// parts of any global query) stop within one readahead batch of the context
+// firing and return ctx.Err().
 //
 // Every public entry point takes sealMu.RLock exactly once for its whole
 // partition walk and delegates to *Locked internals, so the partition set
 // it routes over cannot change mid-query (sealSurgery takes the write
 // side). The internals therefore must never re-enter a public method.
 
-// GetDiff returns all graph updates with start <= ts < end in commit order
-// (Table 1). History before the sealed boundary is gathered from the
+// GetDiffContext returns all graph updates with start <= ts < end in commit
+// order (Table 1). History before the sealed boundary is gathered from the
 // partitions' immutable log segments in parallel (scatter-gather); the
 // active tail is located through the time index and range-scanned.
-func (s *Store) GetDiff(start, end model.Timestamp) ([]model.Update, error) {
-	return s.GetDiffContext(context.Background(), start, end)
-}
-
-// GetDiffContext is GetDiff honouring ctx cancellation.
 func (s *Store) GetDiffContext(ctx context.Context, start, end model.Timestamp) ([]model.Update, error) {
 	var out []model.Update
 	err := s.ScanDiffContext(ctx, start, end, func(u model.Update) bool {
@@ -42,13 +35,8 @@ func (s *Store) GetDiffContext(ctx context.Context, start, end model.Timestamp) 
 	return out, err
 }
 
-// ScanDiff streams the updates with start <= ts < end to fn in commit
-// order, stopping early if fn returns false.
-func (s *Store) ScanDiff(start, end model.Timestamp, fn func(u model.Update) bool) error {
-	return s.ScanDiffContext(context.Background(), start, end, fn)
-}
-
-// ScanDiffContext is ScanDiff honouring ctx cancellation.
+// ScanDiffContext streams the updates with start <= ts < end to fn in
+// commit order, stopping early if fn returns false.
 func (s *Store) ScanDiffContext(ctx context.Context, start, end model.Timestamp, fn func(u model.Update) bool) error {
 	if start >= end {
 		return nil
@@ -88,7 +76,7 @@ func (s *Store) scanFromLocked(ctx context.Context, from position, end model.Tim
 	}
 	stopped := false
 	if len(overlap) > 0 {
-		err := pool.RunOrderedCtx(ctx, s.opts.ParallelIO,
+		err := pool.RunOrdered(ctx, s.opts.ParallelIO,
 			func(emit func(*sealedPart) bool) error {
 				for _, p := range overlap {
 					if !emit(p) {
@@ -159,18 +147,13 @@ func (s *Store) collectPart(ctx context.Context, p *sealedPart, fromTS model.Tim
 	return out, err
 }
 
-// GetGraph materializes the LPG snapshot valid at ts: fetch the closest
-// base at or before ts — a cached graph, an active snapshot file, or a
-// sealed partition's chain element — and apply the forward changes from
-// the owning log (Sec 4.3). A timestamp inside a sealed partition replays
-// only that partition's chain tail, never the whole history. The returned
-// graph is private to the caller.
-func (s *Store) GetGraph(ts model.Timestamp) (*memgraph.Graph, error) {
-	return s.GetGraphContext(context.Background(), ts)
-}
-
-// GetGraphContext is GetGraph honouring ctx cancellation: both halves of
-// the materialization (base load, log replay) are cancellation points.
+// GetGraphContext materializes the LPG snapshot valid at ts: fetch the
+// closest base at or before ts — a cached graph, an active snapshot file,
+// or a sealed partition's chain element — and apply the forward changes
+// from the owning log (Sec 4.3). A timestamp inside a sealed partition
+// replays only that partition's chain tail, never the whole history. The
+// returned graph is private to the caller. Both halves of the
+// materialization (base load, log replay) are cancellation points.
 func (s *Store) GetGraphContext(ctx context.Context, ts model.Timestamp) (*memgraph.Graph, error) {
 	s.sealMu.RLock()
 	defer s.sealMu.RUnlock()
@@ -259,15 +242,10 @@ func (s *Store) basePosLocked(ctx context.Context, ts model.Timestamp) (*memgrap
 	return memgraph.New(), position{ts: -1, seq: seqComplete}, nil
 }
 
-// GetGraphs returns a series of snapshots at start, start+step, ..., built
-// incrementally with one base fetch and a single range scan (Table 1:
+// GetGraphsContext returns a series of snapshots at start, start+step, ...,
+// built incrementally with one base fetch and a single range scan (Table 1:
 // "getGraph(1993, 2023, 1-year) returns thirty snapshots"). The series
 // covers timestamps start <= ts <= end.
-func (s *Store) GetGraphs(start, end model.Timestamp, step model.Timestamp) ([]*memgraph.Graph, error) {
-	return s.GetGraphsContext(context.Background(), start, end, step)
-}
-
-// GetGraphsContext is GetGraphs honouring ctx cancellation.
 func (s *Store) GetGraphsContext(ctx context.Context, start, end model.Timestamp, step model.Timestamp) ([]*memgraph.Graph, error) {
 	var out []*memgraph.Graph
 	err := s.ScanGraphsContext(ctx, start, end, step, func(g *memgraph.Graph) bool {
@@ -280,15 +258,10 @@ func (s *Store) GetGraphsContext(ctx context.Context, start, end model.Timestamp
 	return out, nil
 }
 
-// ScanGraphs is the lazy variant of GetGraphs (footnote 4: "snapshots can
-// be computed eagerly or lazily depending on the application"): each
-// snapshot is handed to fn as it materializes and may be retained only by
-// cloning; iteration stops early when fn returns false.
-func (s *Store) ScanGraphs(start, end, step model.Timestamp, fn func(g *memgraph.Graph) bool) error {
-	return s.ScanGraphsContext(context.Background(), start, end, step, fn)
-}
-
-// ScanGraphsContext is ScanGraphs honouring ctx cancellation.
+// ScanGraphsContext is the lazy variant of GetGraphsContext (footnote 4:
+// "snapshots can be computed eagerly or lazily depending on the
+// application"): each snapshot is handed to fn as it materializes and may
+// be retained only by cloning; iteration stops early when fn returns false.
 func (s *Store) ScanGraphsContext(ctx context.Context, start, end, step model.Timestamp, fn func(g *memgraph.Graph) bool) error {
 	if step <= 0 {
 		return fmt.Errorf("timestore: step must be positive")
@@ -339,18 +312,12 @@ func (s *Store) ScanGraphsContext(ctx context.Context, start, end, step model.Ti
 	return emitThrough(end)
 }
 
-// GetTemporalGraph builds the temporal LPG over [start, end): the state at
-// start seeds the initial versions, and every update in the interval
-// appends to the version chains (Table 1).
-func (s *Store) GetTemporalGraph(start, end model.Timestamp) (*memgraph.TGraph, error) {
-	return s.GetTemporalGraphContext(context.Background(), start, end)
-}
-
-// GetTemporalGraphContext is GetTemporalGraph honouring ctx cancellation.
-// It holds the partition set stable for the whole build (one RLock via the
-// *Locked internals — the public GetGraph/ScanDiff pair would re-acquire
-// it, and a writer queued between the two acquisitions would deadlock the
-// second).
+// GetTemporalGraphContext builds the temporal LPG over [start, end): the
+// state at start seeds the initial versions, and every update in the
+// interval appends to the version chains (Table 1). It holds the partition
+// set stable for the whole build (one RLock via the *Locked internals —
+// the public GetGraphContext/ScanDiffContext pair would re-acquire it, and
+// a writer queued between the two acquisitions would deadlock the second).
 func (s *Store) GetTemporalGraphContext(ctx context.Context, start, end model.Timestamp) (*memgraph.TGraph, error) {
 	s.sealMu.RLock()
 	defer s.sealMu.RUnlock()
@@ -392,16 +359,11 @@ func (s *Store) GetTemporalGraphContext(ctx context.Context, start, end model.Ti
 	return tg, err
 }
 
-// GetWindow filters the graph history by a time window (Table 1): a
+// GetWindowContext filters the graph history by a time window (Table 1): a
 // consistent graph containing every entity present at some point within
 // [start, end), including connections of the present nodes that were valid
 // at start even if untouched inside the window. Entities take their last
 // state within the window.
-func (s *Store) GetWindow(start, end model.Timestamp) (*memgraph.Graph, error) {
-	return s.GetWindowContext(context.Background(), start, end)
-}
-
-// GetWindowContext is GetWindow honouring ctx cancellation.
 func (s *Store) GetWindowContext(ctx context.Context, start, end model.Timestamp) (*memgraph.Graph, error) {
 	tg, err := s.GetTemporalGraphContext(ctx, start, end)
 	if err != nil {

@@ -587,22 +587,15 @@ func (s *Store) recover() (err error) {
 	return nil
 }
 
-// Append writes one committed update into the log and time index, applies
-// it to the latest in-memory graph, and runs the snapshot policy. Updates
-// must arrive in non-decreasing timestamp order.
-func (s *Store) Append(u model.Update) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appendLocked(u)
-}
-
-// AppendBatch appends a batch of updates under one lock acquisition (the
-// paper batches transactions for ingestion performance, Sec 6.4): the whole
-// batch is encoded with the batch encoder and written to the log with a
-// single AppendBatch — one log lock, one write syscall — instead of one
-// Append per update. Timestamps are validated up front so a mid-batch
-// monotonicity violation rejects the batch before anything reaches the
-// log. The snapshot policy is still evaluated per update (a bulk load can
+// AppendBatch is the store's one append path: it writes committed updates
+// into the log and time index, applies them to the latest in-memory graph,
+// and runs the snapshot policy. Updates must arrive in non-decreasing
+// timestamp order. The batch goes in under one lock acquisition (the paper
+// batches transactions for ingestion performance, Sec 6.4): it is encoded
+// with the batch encoder and written to the log with a single
+// wal.AppendBatch — one log lock, one write syscall. Timestamps are
+// validated up front so a mid-batch monotonicity violation rejects the
+// batch before anything reaches the log. The snapshot policy is still evaluated per update (a bulk load can
 // legitimately cross several policy boundaries); the trigger is an O(1)
 // CoW clone handed to the background worker, so it costs the batch nothing.
 func (s *Store) AppendBatch(us []model.Update) error {
@@ -675,63 +668,6 @@ func (s *Store) AppendBatch(us []model.Update) error {
 		s.opsSinceSnap++
 		s.bytesSinceSnap += int64(len(payloads[i]))
 	}
-	return nil
-}
-
-func (s *Store) appendLocked(u model.Update) error {
-	if s.sealErr != nil {
-		return s.sealErr
-	}
-	if u.TS < 0 {
-		return fmt.Errorf("timestore: %w: negative ts %d", model.ErrNonMonotonic, u.TS)
-	}
-	if u.TS < s.lastTS {
-		return fmt.Errorf("timestore: %w: ts %d after %d", model.ErrNonMonotonic, u.TS, s.lastTS)
-	}
-	// Timestamp boundary: the latest graph is complete at s.lastTS — the
-	// only moment a policy snapshot (or a partition seal, which subsumes
-	// one) may capture it. Capturing mid-timestamp would poison the
-	// GraphStore with a state no (ts) query key can name.
-	if u.TS > s.lastTS && s.activeCount > 0 {
-		if s.opts.PartitionEvery > 0 && s.activeCount >= s.opts.PartitionEvery {
-			if err := s.sealActiveLocked(); err != nil {
-				return err
-			}
-		} else {
-			s.maybeSnapshotLocked(s.lastTS)
-		}
-	}
-	payload, err := s.codec.AppendUpdate(s.encBuf[:0], u)
-	if err != nil {
-		return err
-	}
-	s.encBuf = payload[:0]
-	// Same strings-before-log flush ordering as AppendBatch: see there.
-	if err := s.codec.Strings.Flush(); err != nil {
-		return err
-	}
-	off, err := s.log.Append(payload)
-	if err != nil {
-		return err
-	}
-	if u.TS == s.lastTS {
-		s.seq++
-	} else {
-		s.lastTS, s.seq = u.TS, 0
-	}
-	if err := s.timeIdx.Put(enc.KeyTS(u.TS, s.seq), enc.U64Value(uint64(off))); err != nil {
-		return err
-	}
-	if err := s.gs.ApplyToLatest(u); err != nil {
-		return err
-	}
-	s.updateCount++
-	s.activeCount++
-	if s.activeCount == 1 {
-		s.activeMinTS = u.TS
-	}
-	s.opsSinceSnap++
-	s.bytesSinceSnap += int64(len(payload))
 	return nil
 }
 

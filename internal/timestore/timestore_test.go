@@ -1,6 +1,7 @@
 package timestore
 
 import (
+	"context"
 	"testing"
 
 	"aion/internal/enc"
@@ -38,12 +39,13 @@ func chainUpdates(n int) []model.Update {
 }
 
 func TestAppendAndGetDiff(t *testing.T) {
+	ctx := context.Background()
 	s := openStore(t, Options{SnapshotEveryOps: 1 << 30})
 	us := chainUpdates(10)
 	if err := s.AppendBatch(us); err != nil {
 		t.Fatal(err)
 	}
-	diff, err := s.GetDiff(3, 7)
+	diff, err := s.GetDiffContext(ctx, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +57,11 @@ func TestAppendAndGetDiff(t *testing.T) {
 			t.Errorf("diff leaked ts %d", u.TS)
 		}
 	}
-	all, _ := s.GetDiff(0, model.TSInfinity)
+	all, _ := s.GetDiffContext(ctx, 0, model.TSInfinity)
 	if len(all) != len(us) {
 		t.Errorf("full diff = %d, want %d", len(all), len(us))
 	}
-	empty, _ := s.GetDiff(7, 3)
+	empty, _ := s.GetDiffContext(ctx, 7, 3)
 	if len(empty) != 0 {
 		t.Error("inverted range must be empty")
 	}
@@ -67,14 +69,14 @@ func TestAppendAndGetDiff(t *testing.T) {
 
 func TestMonotonicityEnforced(t *testing.T) {
 	s := openStore(t, Options{})
-	if err := s.Append(model.AddNode(10, 0, nil, nil)); err != nil {
+	if err := s.AppendBatch([]model.Update{model.AddNode(10, 0, nil, nil)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(model.AddNode(5, 1, nil, nil)); err == nil {
+	if err := s.AppendBatch([]model.Update{model.AddNode(5, 1, nil, nil)}); err == nil {
 		t.Error("decreasing ts must be rejected")
 	}
 	// Equal timestamps are fine (same transaction).
-	if err := s.Append(model.AddNode(10, 1, nil, nil)); err != nil {
+	if err := s.AppendBatch([]model.Update{model.AddNode(10, 1, nil, nil)}); err != nil {
 		t.Errorf("equal ts rejected: %v", err)
 	}
 }
@@ -86,7 +88,7 @@ func TestGetGraphAtEveryTimestamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ts := model.Timestamp(0); ts <= 19; ts++ {
-		g, err := s.GetGraph(ts)
+		g, err := s.GetGraphContext(context.Background(), ts)
 		if err != nil {
 			t.Fatalf("GetGraph(%d): %v", ts, err)
 		}
@@ -109,6 +111,7 @@ func TestGetGraphAtEveryTimestamp(t *testing.T) {
 }
 
 func TestGetGraphWithDeletions(t *testing.T) {
+	ctx := context.Background()
 	s := openStore(t, Options{SnapshotEveryOps: 3})
 	us := []model.Update{
 		model.AddNode(1, 0, nil, nil),
@@ -121,15 +124,15 @@ func TestGetGraphWithDeletions(t *testing.T) {
 	if err := s.AppendBatch(us); err != nil {
 		t.Fatal(err)
 	}
-	g4, _ := s.GetGraph(4)
+	g4, _ := s.GetGraphContext(ctx, 4)
 	if g4.RelCount() != 0 || g4.NodeCount() != 2 {
 		t.Errorf("ts 4: %d/%d", g4.NodeCount(), g4.RelCount())
 	}
-	g5, _ := s.GetGraph(5)
+	g5, _ := s.GetGraphContext(ctx, 5)
 	if g5.NodeCount() != 1 {
 		t.Errorf("ts 5: %d nodes", g5.NodeCount())
 	}
-	g6, _ := s.GetGraph(6)
+	g6, _ := s.GetGraphContext(ctx, 6)
 	if g6.NodeCount() != 2 || !g6.Node(1).HasLabel("Reborn") {
 		t.Error("re-inserted node missing")
 	}
@@ -167,11 +170,12 @@ func TestSnapshotPolicyTime(t *testing.T) {
 }
 
 func TestGetGraphsSeries(t *testing.T) {
+	ctx := context.Background()
 	s := openStore(t, Options{SnapshotEveryOps: 6})
 	if err := s.AppendBatch(chainUpdates(10)); err != nil {
 		t.Fatal(err)
 	}
-	graphs, err := s.GetGraphs(2, 18, 4) // ts 2, 6, 10, 14, 18
+	graphs, err := s.GetGraphsContext(ctx, 2, 18, 4) // ts 2, 6, 10, 14, 18
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,16 +187,16 @@ func TestGetGraphsSeries(t *testing.T) {
 		if g.Timestamp() != ts {
 			t.Errorf("series[%d] ts = %d, want %d", i, g.Timestamp(), ts)
 		}
-		ref, _ := s.GetGraph(ts)
+		ref, _ := s.GetGraphContext(ctx, ts)
 		if g.NodeCount() != ref.NodeCount() || g.RelCount() != ref.RelCount() {
 			t.Errorf("series[%d] %d/%d, direct %d/%d",
 				i, g.NodeCount(), g.RelCount(), ref.NodeCount(), ref.RelCount())
 		}
 	}
-	if _, err := s.GetGraphs(0, 10, 0); err == nil {
+	if _, err := s.GetGraphsContext(ctx, 0, 10, 0); err == nil {
 		t.Error("zero step must fail")
 	}
-	if _, err := s.GetGraphs(10, 0, 1); err == nil {
+	if _, err := s.GetGraphsContext(ctx, 10, 0, 1); err == nil {
 		t.Error("inverted range must fail")
 	}
 }
@@ -210,7 +214,7 @@ func TestGetTemporalGraph(t *testing.T) {
 	if err := s.AppendBatch(us); err != nil {
 		t.Fatal(err)
 	}
-	tg, err := s.GetTemporalGraph(2, 6)
+	tg, err := s.GetTemporalGraphContext(context.Background(), 2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +247,7 @@ func TestGetWindow(t *testing.T) {
 	if err := s.AppendBatch(us); err != nil {
 		t.Fatal(err)
 	}
-	g, err := s.GetWindow(3, 7)
+	g, err := s.GetWindowContext(context.Background(), 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,6 +262,7 @@ func TestGetWindow(t *testing.T) {
 }
 
 func TestRecoveryAfterReopen(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	codec := enc.NewCodec(strstore.NewMem())
 	s, err := Open(codec, Options{Dir: dir, SnapshotEveryOps: 7})
@@ -279,7 +284,7 @@ func TestRecoveryAfterReopen(t *testing.T) {
 	if s2.LatestTimestamp() != 19 {
 		t.Errorf("recovered ts = %d", s2.LatestTimestamp())
 	}
-	g, err := s2.GetGraph(19)
+	g, err := s2.GetGraphContext(ctx, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,15 +292,15 @@ func TestRecoveryAfterReopen(t *testing.T) {
 		t.Errorf("recovered graph %d/%d", g.NodeCount(), g.RelCount())
 	}
 	// Appends continue after recovery.
-	if err := s2.Append(model.AddNode(20, 10, nil, nil)); err != nil {
+	if err := s2.AppendBatch([]model.Update{model.AddNode(20, 10, nil, nil)}); err != nil {
 		t.Fatal(err)
 	}
-	g2, _ := s2.GetGraph(20)
+	g2, _ := s2.GetGraphContext(ctx, 20)
 	if g2.NodeCount() != 11 {
 		t.Error("append after recovery")
 	}
 	// Historical queries still work.
-	g5, err := s2.GetGraph(5)
+	g5, err := s2.GetGraphContext(ctx, 5)
 	if err != nil || g5.NodeCount() != 5 {
 		t.Errorf("historical query after reopen: %v nodes=%d", err, g5.NodeCount())
 	}
@@ -321,7 +326,7 @@ func TestRecoveryWithoutIndexFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	diff, err := s2.GetDiff(0, model.TSInfinity)
+	diff, err := s2.GetDiffContext(context.Background(), 0, model.TSInfinity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +339,7 @@ func TestScanDiffEarlyStop(t *testing.T) {
 	s := openStore(t, Options{})
 	s.AppendBatch(chainUpdates(10))
 	n := 0
-	s.ScanDiff(0, model.TSInfinity, func(u model.Update) bool {
+	s.ScanDiffContext(context.Background(), 0, model.TSInfinity, func(u model.Update) bool {
 		n++
 		return n < 3
 	})
@@ -381,7 +386,7 @@ func TestSnapshotPolicyLogBytes(t *testing.T) {
 	ts := r.LatestTimestamp()
 	for i := 0; i < 12; i++ {
 		ts++
-		if err := r.Append(model.AddNode(ts, model.NodeID(1000+i), []string{"N"}, nil)); err != nil {
+		if err := r.AppendBatch([]model.Update{model.AddNode(ts, model.NodeID(1000+i), []string{"N"}, nil)}); err != nil {
 			t.Fatal(err)
 		}
 	}

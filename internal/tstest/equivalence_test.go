@@ -8,6 +8,7 @@ package tstest
 // and under concurrent readers while seals are in flight.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -124,7 +125,7 @@ func TestEquivalenceColdReopen(t *testing.T) {
 			ts, naive, 3*every)
 	}
 	base := part.Stats().ReplayedUpdates
-	if _, err := part.GetGraph(ts); err != nil {
+	if _, err := part.GetGraphContext(context.Background(), ts); err != nil {
 		t.Fatal(err)
 	}
 	replayed := int(part.Stats().ReplayedUpdates - base)
@@ -148,7 +149,7 @@ func TestEquivalenceColdReopen(t *testing.T) {
 // fail-stop, flushes mark durability. Mirrors the timestore crash sweeps.
 func driveFaulty(st *Store, us []model.Update) (attempted, durable int) {
 	for i, u := range us {
-		if err := st.Append(u); err != nil {
+		if err := st.AppendBatch([]model.Update{u}); err != nil {
 			break
 		}
 		attempted = i + 1
@@ -199,7 +200,7 @@ func runCrashEquivalenceCase(t *testing.T, cmp *Comparator, us []model.Update, m
 	part.FS.Crash()
 	part = part.Reopen(t)
 
-	rec, err := part.GetDiff(0, maxTS+1)
+	rec, err := part.GetDiffContext(context.Background(), 0, maxTS+1)
 	if err != nil {
 		t.Fatalf("k=%d torn=%v: GetDiff after recovery: %v", k, torn, err)
 	}
@@ -241,6 +242,7 @@ func runCrashEquivalenceCase(t *testing.T, cmp *Comparator, us []model.Update, m
 // check readers never observe a half-sealed hybrid (lost or duplicated
 // updates at any watermark).
 func TestConcurrentReadersDuringSeal(t *testing.T) {
+	ctx := context.Background()
 	const total = 400
 	st := OpenStore(t, timestore.Options{
 		SnapshotEveryOps: 60,
@@ -265,7 +267,7 @@ func TestConcurrentReadersDuringSeal(t *testing.T) {
 				}
 				ts := model.Timestamp(1 + rng.Int63n(w))
 				// One node per timestamp: the graph at ts has exactly ts nodes.
-				g, err := st.GetGraph(ts)
+				g, err := st.GetGraphContext(ctx, ts)
 				if err != nil {
 					errCh <- err
 					return
@@ -274,7 +276,7 @@ func TestConcurrentReadersDuringSeal(t *testing.T) {
 					errCh <- errCount{"GetGraph", int64(ts), int64(g.NodeCount()), int64(ts)}
 					return
 				}
-				us, err := st.GetDiff(1, ts+1)
+				us, err := st.GetDiffContext(ctx, 1, ts+1)
 				if err != nil {
 					errCh <- err
 					return
@@ -290,7 +292,7 @@ func TestConcurrentReadersDuringSeal(t *testing.T) {
 	for i := 1; i <= total; i++ {
 		u := model.AddNode(model.Timestamp(i), model.NodeID(i), []string{"N"},
 			model.Properties{"n": model.IntValue(int64(i))})
-		if err := st.Append(u); err != nil {
+		if err := st.AppendBatch([]model.Update{u}); err != nil {
 			t.Fatal(err)
 		}
 		if i%16 == 0 {

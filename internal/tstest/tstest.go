@@ -14,6 +14,7 @@
 package tstest
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -182,8 +183,8 @@ func Drive(tb testing.TB, st *Store, us []model.Update, flushEvery int) {
 	tb.Helper()
 	i := 0
 	for i < len(us) {
-		// Batch size cycles 1,1,1,5,1,1,1,5,... so both Append and
-		// AppendBatch paths are exercised deterministically.
+		// Batch size cycles 1,1,1,5,1,1,1,5,... so single-update and
+		// multi-update batches are exercised deterministically.
 		n := 1
 		if (i/4)%2 == 1 {
 			n = 5
@@ -191,14 +192,8 @@ func Drive(tb testing.TB, st *Store, us []model.Update, flushEvery int) {
 		if i+n > len(us) {
 			n = len(us) - i
 		}
-		if n == 1 {
-			if err := st.Append(us[i]); err != nil {
-				tb.Fatalf("tstest: append %d: %v", i, err)
-			}
-		} else {
-			if err := st.AppendBatch(us[i : i+n]); err != nil {
-				tb.Fatalf("tstest: append batch at %d: %v", i, err)
-			}
+		if err := st.AppendBatch(us[i : i+n]); err != nil {
+			tb.Fatalf("tstest: append batch at %d: %v", i, err)
 		}
 		i += n
 		if flushEvery > 0 && i%flushEvery == 0 {
@@ -216,11 +211,12 @@ func Drive(tb testing.TB, st *Store, us []model.Update, flushEvery int) {
 // graphs at ts.
 func AssertSameGraph(tb testing.TB, cmp *Comparator, a, b *Store, ts model.Timestamp) {
 	tb.Helper()
-	ga, err := a.GetGraph(ts)
+	ctx := context.Background()
+	ga, err := a.GetGraphContext(ctx, ts)
 	if err != nil {
 		tb.Fatalf("tstest: %s GetGraph(%d): %v", a.name(), ts, err)
 	}
-	gb, err := b.GetGraph(ts)
+	gb, err := b.GetGraphContext(ctx, ts)
 	if err != nil {
 		tb.Fatalf("tstest: %s GetGraph(%d): %v", b.name(), ts, err)
 	}
@@ -235,11 +231,12 @@ func AssertSameGraph(tb testing.TB, cmp *Comparator, a, b *Store, ts model.Times
 // streams for [start, end).
 func AssertSameDiff(tb testing.TB, cmp *Comparator, a, b *Store, start, end model.Timestamp) {
 	tb.Helper()
-	ua, err := a.GetDiff(start, end)
+	ctx := context.Background()
+	ua, err := a.GetDiffContext(ctx, start, end)
 	if err != nil {
 		tb.Fatalf("tstest: %s GetDiff(%d,%d): %v", a.name(), start, end, err)
 	}
-	ub, err := b.GetDiff(start, end)
+	ub, err := b.GetDiffContext(ctx, start, end)
 	if err != nil {
 		tb.Fatalf("tstest: %s GetDiff(%d,%d): %v", b.name(), start, end, err)
 	}
@@ -277,7 +274,7 @@ func AssertSameScan(tb testing.TB, cmp *Comparator, a, b *Store, start, end, ste
 func scanDigests(tb testing.TB, cmp *Comparator, st *Store, start, end, step model.Timestamp) []string {
 	tb.Helper()
 	var out []string
-	err := st.ScanGraphs(start, end, step, func(g *memgraph.Graph) bool {
+	err := st.ScanGraphsContext(context.Background(), start, end, step, func(g *memgraph.Graph) bool {
 		out = append(out, cmp.GraphDigest(tb, g))
 		return true
 	})

@@ -7,6 +7,7 @@ package wal
 // SyncedSize must track exactly the bytes a crash is guaranteed to keep.
 
 import (
+	"aion/internal/vfs"
 	"errors"
 	"os"
 	"path/filepath"
@@ -87,7 +88,7 @@ func TestZeroLengthPayloads(t *testing.T) {
 func TestSyncedSizeTracksDurability(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
-	l, err := Open(path)
+	l, err := OpenFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestSyncedSizeTracksDurability(t *testing.T) {
 	}
 
 	// Reopen: everything on disk is durable again.
-	l2, err := Open(path)
+	l2, err := OpenFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestSyncedSizeTracksDurability(t *testing.T) {
 	if err := os.Truncate(path, full-2); err != nil {
 		t.Fatal(err)
 	}
-	l3, err := Open(path)
+	l3, err := OpenFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,9 +54,6 @@ type Log struct {
 	syncs    atomic.Int64
 }
 
-// Open creates or opens the log at path on the real filesystem.
-func Open(path string) (*Log, error) { return OpenFS(vfs.OS, path) }
-
 // OpenFS creates or opens the log at path on fs. Opening validates the
 // log's tail: records are walked front to back (length + CRC), and any
 // trailing bytes that do not form a complete valid record — the torn tail

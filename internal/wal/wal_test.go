@@ -13,7 +13,7 @@ import (
 
 func openLog(t *testing.T) *Log {
 	t.Helper()
-	l, err := Open(filepath.Join(t.TempDir(), "wal.log"))
+	l, err := OpenFS(vfs.OS, filepath.Join(t.TempDir(), "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestReadErrors(t *testing.T) {
 func TestCorruptionDetected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
-	l, err := Open(path)
+	l, err := OpenFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestCorruptionDetected(t *testing.T) {
 	b[len(b)-1] ^= 0xFF
 	os.WriteFile(path, b, 0o644)
 
-	l2, err := Open(path)
+	l2, err := OpenFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +140,12 @@ func TestCorruptionDetected(t *testing.T) {
 func TestReopenPreservesSize(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
-	l, _ := Open(path)
+	l, _ := OpenFS(vfs.OS, path)
 	l.Append([]byte("one"))
 	off2, _ := l.Append([]byte("two"))
 	l.Close()
 
-	l2, err := Open(path)
+	l2, err := OpenFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func corruptOnDisk(t *testing.T, path string, fn func(b []byte) []byte) {
 func TestScanBatchCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
-	l, _ := Open(path)
+	l, _ := OpenFS(vfs.OS, path)
 	defer l.Close()
 	var offs []int64
 	for i := 0; i < 20; i++ {
@@ -317,7 +317,7 @@ func TestScanBatchCorruption(t *testing.T) {
 func TestScanBatchTruncated(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
-	l, _ := Open(path)
+	l, _ := OpenFS(vfs.OS, path)
 	defer l.Close()
 	for i := 0; i < 10; i++ {
 		l.Append([]byte("payload-payload"))
@@ -342,7 +342,7 @@ func TestScanBatchTruncated(t *testing.T) {
 func TestOpenRepairsTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
-	l, _ := Open(path)
+	l, _ := OpenFS(vfs.OS, path)
 	for i := 0; i < 10; i++ {
 		if _, err := l.Append([]byte(fmt.Sprintf("rec-%02d", i))); err != nil {
 			t.Fatal(err)
@@ -357,7 +357,7 @@ func TestOpenRepairsTornTail(t *testing.T) {
 	torn[0] = 6 // claims a 6-byte payload; only 3 bytes follow
 	os.WriteFile(path, append(b, torn...), 0o644)
 
-	l2, err := Open(path)
+	l2, err := OpenFS(vfs.OS, path)
 	if err != nil {
 		t.Fatalf("open must repair the torn tail, got %v", err)
 	}
@@ -386,7 +386,7 @@ func TestOpenRepairsTornTail(t *testing.T) {
 func TestOpenRepairsCorruptMidLog(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
-	l, _ := Open(path)
+	l, _ := OpenFS(vfs.OS, path)
 	var offs []int64
 	for i := 0; i < 8; i++ {
 		off, _ := l.Append([]byte{byte(i), byte(i)})
@@ -397,7 +397,7 @@ func TestOpenRepairsCorruptMidLog(t *testing.T) {
 		b[offs[5]+recordHeaderSize] ^= 0xFF
 		return b
 	})
-	l2, err := Open(path)
+	l2, err := OpenFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +551,7 @@ func TestAppendBatchEmptyAndInterleaved(t *testing.T) {
 func TestAppendBatchTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
-	l, err := Open(path)
+	l, err := OpenFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +568,7 @@ func TestAppendBatchTornTail(t *testing.T) {
 	if err := os.Truncate(path, cut); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Open(path)
+	l2, err := OpenFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
